@@ -1,8 +1,13 @@
 """Exact successive-minima solvers.
 
 `solve_smp` is the single-pass pipeline: Cholesky -> LLL -> one
-Schnorr-Euchner enumeration that starts from a permuted identity basis and
-repairs it with `update_basis` at every improving leaf.  `brute_force_smp`
+Schnorr-Euchner enumeration that starts from a permuted identity basis C and
+repairs it at every improving leaf c with the basis-update rule behind
+`update_basis`: with y = adj(C) c and i the stable insertion point of c,
+drop column m = max{k : y_k != 0}, or reject c when m < i.  adj(C) is kept
+up to sign as exact integers and updated by one rank-one step per accepted
+leaf, so a leaf costs O(n) per column from the last down to i, and an
+accepted one O(n^2); no leaf re-runs an elimination.  `brute_force_smp`
 (exhaustive box search + greedy independent selection) is the ground-truth
 oracle, and `baseline_smp` rebuilds the column-by-column approach of prior
 solvers for timing comparison.
@@ -16,10 +21,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .enumeration import _as_rows, _search, enumerate_below
+from .enumeration import _as_rows, _search
 from .errors import DimensionTooLarge, PreconditionViolated, SingularCoefficientMatrix
 from .lll import DEFAULT_DELTA, lll_reduce
 from .matrixcore import cholesky, int_det, int_rank
@@ -40,10 +46,6 @@ class WorkingBasis:
     cols: tuple[tuple[int, ...], ...]
     norms: tuple[float, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.cols)
-
     def matrix(self) -> np.ndarray:
         """Columns assembled into an integer matrix."""
         return np.array(self.cols, dtype=np.int64).T
@@ -57,41 +59,55 @@ class SmpSolution:
     rate_total: float
 
 
-def _first_dependent_column(cols: list, n_rows: int) -> int | None:
-    """Index of the first column that does not extend the rank of the
-    columns before it, or None.  Fraction-free elimination, stopping as
-    soon as a pivot-less column appears."""
-    rows = [[int(col[r]) for col in cols] for r in range(n_rows)]
-    n_cols = len(cols)
-    piv_r = 0
-    prev = 1
-    for col in range(n_cols):
-        pr = next((r for r in range(piv_r, n_rows) if rows[r][col] != 0), None)
-        if pr is None:
-            return col
-        if pr != piv_r:
-            rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
-        p = rows[piv_r][col]
-        row_p = rows[piv_r]
-        for r in range(piv_r + 1, n_rows):
-            factor = rows[r][col]
-            row_r = rows[r]
-            for c in range(col + 1, n_cols):
-                row_r[c] = (p * row_r[c] - factor * row_p[c]) // prev
-            row_r[col] = 0
-        prev = p
-        piv_r += 1
-    return None
+def _exchange(cols: list, norms: list, adj: list, d: int, c, norm: float) -> int | None:
+    """The `update_basis` rule on lists, for a sorted basis C with
+    adj = d * C^-1 (row k of adj belongs to column k of C) and a candidate
+    c with norm below norms[-1].  On acceptance the lists are updated in
+    place by an exact rank-one step and the new scale d' = y_m is returned;
+    on rejection nothing changes and None is returned."""
+    n = len(cols)
+    # stable insertion: equal-norm incumbents stay ahead of the newcomer
+    i = 0
+    while i < n and norms[i] <= norm:
+        i += 1
+    for m in range(n - 1, i - 1, -1):
+        y_m = sum(map(mul, adj[m], c))
+        if y_m:
+            break
+    else:
+        return None
+    row_m = adj[m]
+    for k in range(m):
+        row = adj[k]
+        y_k = sum(map(mul, row, c))
+        # exact: the result is +-adj of the updated basis
+        adj[k] = [(y_m * a - y_k * b) // d for a, b in zip(row, row_m)]
+    for k in range(m + 1, n):
+        adj[k] = [y_m * a // d for a in adj[k]]
+    del cols[m], norms[m], adj[m]
+    cols.insert(i, tuple(c))
+    norms.insert(i, norm)
+    adj.insert(i, row_m)
+    return y_m
+
+
+def _adjugate(cols: list[tuple[int, ...]]) -> list[list[int]]:
+    """adj C, row k belonging to column k: by Cramer's rule, entry (k, j)
+    is det C with column k replaced by e_j."""
+    n = len(cols)
+    unit = [tuple(int(r == j) for r in range(n)) for j in range(n)]
+    return [[int_det(cols[:k] + [e] + cols[k + 1:]) for e in unit] for k in range(n)]
 
 
 def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
     """Insert a strictly shorter candidate column into a sorted basis.
 
-    The candidate is placed after all columns of norm <= its own; then the
-    column removed is the one with the largest index whose removal keeps
-    the matrix invertible, found as the first rank-deficient column prefix
-    past the insertion point.  If the candidate itself is dependent on the
-    shorter columns it is dropped and the basis returned unchanged.
+    The candidate is placed after all columns of norm <= its own (index i).
+    With y = adj(C) c, the column dropped is m = max{k : y_k != 0}: the
+    largest index whose removal keeps the extended matrix invertible.  If
+    m < i the candidate is a combination of the shorter columns; it is
+    dropped and the basis returned unchanged.  This is the rule
+    `solve_rsmp` applies at every leaf.
     """
     if not any(cand.coeffs):
         raise PreconditionViolated("candidate coefficient vector is zero")
@@ -99,23 +115,15 @@ def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
         raise PreconditionViolated(
             f"candidate norm {cand.norm} is not below the largest basis norm"
         )
-    n = basis.dim
-    # stable insertion: equal-norm incumbents stay ahead of the newcomer
-    i = 0
-    while i < n and basis.norms[i] <= cand.norm:
-        i += 1
-    tilde_cols = basis.cols[:i] + (cand.coeffs,) + basis.cols[i:]
-    tilde_norms = basis.norms[:i] + (cand.norm,) + basis.norms[i:]
-
-    drop = _first_dependent_column(list(tilde_cols), n)
-    if drop == i:
-        # candidate is a combination of the shorter columns: keep the basis
+    cols = [tuple(int(v) for v in col) for col in basis.cols]
+    d = int_det(cols)
+    if d == 0:
+        raise SingularCoefficientMatrix("working basis is not invertible")
+    norms = list(basis.norms)
+    coeffs = [int(v) for v in cand.coeffs]
+    if _exchange(cols, norms, _adjugate(cols), d, coeffs, cand.norm) is None:
         return basis
-    if drop is None:
-        drop = n
-    cols = tilde_cols[:drop] + tilde_cols[drop + 1:]
-    norms = tilde_norms[:drop] + tilde_norms[drop + 1:]
-    return WorkingBasis(cols=cols, norms=norms)
+    return WorkingBasis(cols=tuple(cols), norms=tuple(norms))
 
 
 def _initial_basis(rows: list[list[float]]) -> WorkingBasis:
@@ -133,33 +141,26 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
 
     Starts from the sorted permuted identity, visits sign-canonical vectors
     inside the shrinking radius (the largest current basis norm), and
-    repairs the basis with `update_basis` at every nonzero leaf.  Returns
-    the invertible coefficient matrix (columns are the minima vectors) and
-    the nondecreasing norms.
+    repairs the basis with the `update_basis` rule at every nonzero leaf.
+    Returns the invertible coefficient matrix (columns are the minima
+    vectors) and the nondecreasing norms.
     """
     rows = _as_rows(r_bar)
-    n = len(rows)
     start = _initial_basis(rows)
     cols: list[tuple[int, ...]] = list(start.cols)
     norms: list[float] = list(start.norms)
+    adj = [list(col) for col in cols]  # C^-1 = C^T for a permutation
+    d = 1
 
     def on_leaf(c: list[int], norm_sq: float) -> float | None:
+        nonlocal d
         norm = math.sqrt(norm_sq)
         if not norm < norms[-1]:  # sqrt rounding at the radius
             return None
-        i = 0
-        while i < n and norms[i] <= norm:
-            i += 1
-        tilde = cols[:i] + [tuple(c)] + cols[i:]
-        drop = _first_dependent_column(tilde, n)
-        if drop == i:
+        new_d = _exchange(cols, norms, adj, d, c, norm)
+        if new_d is None:
             return None
-        if drop is None:
-            drop = n
-        del tilde[drop]
-        cols[:] = tilde
-        norms.insert(i, norm)
-        del norms[drop]
+        d = new_d
         return norms[-1] ** 2
 
     _search(rows, norms[-1] ** 2, on_leaf)
@@ -316,12 +317,6 @@ def _min_independent(
     return math.sqrt(best["norm_sq"]), best["c"]
 
 
-def check_invertible(a) -> None:
-    """Raise SingularCoefficientMatrix unless det(a) != 0 (exact)."""
-    if int_det(a) == 0:
-        raise SingularCoefficientMatrix("integer matrix has zero determinant")
-
-
 __all__ = [
     "Candidate",
     "WorkingBasis",
@@ -331,5 +326,4 @@ __all__ = [
     "solve_smp",
     "brute_force_smp",
     "baseline_smp",
-    "check_invertible",
 ]

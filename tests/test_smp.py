@@ -8,16 +8,34 @@ from ifsmp import (
     Candidate,
     DimensionTooLarge,
     PreconditionViolated,
+    SingularCoefficientMatrix,
     WorkingBasis,
     baseline_smp,
     brute_force_smp,
     cholesky,
+    gram_matrix,
     int_det,
     lll_reduce,
     solve_rsmp,
     solve_smp,
     update_basis,
 )
+from ifsmp.smp import _adjugate, _exchange
+
+
+def largest_removable(cols, norms, cand, cand_norm):
+    """Expected update_basis result, by exhaustive determinants: insert the
+    candidate after every column of norm <= its own, then drop the largest
+    index whose removal leaves an invertible matrix."""
+    n = len(cols)
+    i = sum(1 for v in norms if v <= cand_norm)
+    tilde = list(cols[:i]) + [tuple(cand)] + list(cols[i:])
+    tilde_norms = list(norms[:i]) + [cand_norm] + list(norms[i:])
+    for j in range(n, i - 1, -1):
+        trimmed = [c for idx, c in enumerate(tilde) if idx != j]
+        if int_det(np.array(trimmed).T) != 0:
+            return trimmed, [v for idx, v in enumerate(tilde_norms) if idx != j]
+    raise AssertionError("no removable column")
 
 
 def basis_of(r_bar, cols):
@@ -36,6 +54,11 @@ class TestUpdateBasis:
         basis = basis_of(np.diag([1.0, 2.0]), [(1, 0), (0, 1)])
         with pytest.raises(PreconditionViolated):
             update_basis(basis, Candidate(coeffs=(0, 0), norm=0.0))
+
+    def test_singular_basis_rejected(self):
+        basis = WorkingBasis(cols=((1, 1), (2, 2)), norms=(1.0, 2.0))
+        with pytest.raises(SingularCoefficientMatrix):
+            update_basis(basis, Candidate(coeffs=(1, 0), norm=1.0))
 
     def test_replaces_longest_dependent_prefix(self):
         # basis {(1,0),(1,1)} under diag(1,2); candidate (0,1) lands in the
@@ -77,6 +100,53 @@ class TestUpdateBasis:
             assert int_det(out.matrix()) != 0
             assert list(out.norms) == sorted(out.norms)
             assert all(a <= b + 1e-12 for a, b in zip(out.norms, basis.norms))
+
+    def test_equal_norm_newcomer_goes_last(self):
+        # norm tie with (1,0): the candidate lands after it and replaces (0,1)
+        basis = WorkingBasis(cols=((1, 0), (0, 1)), norms=(1.0, 2.0))
+        out = update_basis(basis, Candidate(coeffs=(1, 1), norm=1.0))
+        assert out.cols == ((1, 0), (1, 1))
+        # tie with (1,0) again, but (2,0) lies in its span: rejected
+        basis = WorkingBasis(cols=((1, 0), (0, 1)), norms=(2.0, 3.0))
+        assert update_basis(basis, Candidate(coeffs=(2, 0), norm=2.0)) == basis
+
+    def test_exchange_keeps_exact_inverse(self, rng):
+        # chains of updates on random invertible bases; small integer norms
+        # make equal-norm ties common
+        accepted = rejected = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 6))
+            while True:
+                c_mat = rng.integers(-3, 4, size=(n, n))
+                if int_det(c_mat) != 0:
+                    break
+            cols = [tuple(int(v) for v in c_mat[:, k]) for k in range(n)]
+            norms = sorted(float(v) for v in rng.integers(1, 6, size=n))
+            adj, d = _adjugate(cols), int_det(cols)
+            for _ in range(10):
+                if norms[-1] == 1.0:
+                    break
+                if rng.random() < 0.5:
+                    cand = tuple(int(v) for v in rng.integers(-2, 3, size=n))
+                else:  # a combination of leading columns, often rejected
+                    mix = rng.integers(-1, 2, size=int(rng.integers(1, n + 1)))
+                    cand = tuple(
+                        sum(int(w) * col[r] for w, col in zip(mix, cols)) for r in range(n)
+                    )
+                cand_norm = float(rng.integers(1, int(norms[-1])))
+                if not any(cand):
+                    continue
+                expected = largest_removable(cols, norms, cand, cand_norm)
+                new_d = _exchange(cols, norms, adj, d, list(cand), cand_norm)
+                assert (cols, norms) == expected
+                if new_d is None:
+                    rejected += 1
+                    continue
+                accepted += 1
+                d = new_d
+                c_now = np.array(cols, dtype=object).T
+                assert (np.array(adj, dtype=object) @ c_now == d * np.eye(n, dtype=int)).all()
+        assert accepted > 100 and rejected > 100
 
 
 class TestSolveRsmp:
@@ -178,6 +248,20 @@ class TestSolveSmp:
             for k in range(n):
                 norm = float(np.linalg.norm(r @ sol.a_star[:, k].astype(float)))
                 assert sol.lambdas[k] == pytest.approx(norm, rel=1e-9)
+
+    def test_rank_deficient_channel(self, rng):
+        # column 1 of H equals column 0: one long minimum, three short ones
+        for p_db in (12.0, 20.0):
+            for _ in range(3):
+                h = rng.standard_normal((4, 4))
+                h[:, 1] = h[:, 0]
+                g = gram_matrix(h, 10.0 ** (p_db / 10.0))
+                sol = solve_smp(g)
+                _, expected = brute_force_smp(lll_reduce(cholesky(g)).r_bar)
+                assert list(sol.lambdas) == pytest.approx(expected, rel=1e-9)
+                assert int_det(sol.a_star) != 0
+                norms = np.linalg.norm(cholesky(g) @ sol.a_star.astype(float), axis=0)
+                assert list(sol.lambdas) == pytest.approx(list(norms), rel=1e-9)
 
     def test_objective_scaling_covariance(self, rng):
         g = random_gram(rng, 3, p=10.0)

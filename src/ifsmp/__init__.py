@@ -17,12 +17,10 @@ from .errors import (
 from .lll import DEFAULT_DELTA, LllResult, lll_reduce
 from .matrixcore import (
     cholesky,
-    first_rank_deficient_prefix,
     int_det,
     int_rank,
     int_row_echelon,
     nearest_integer,
-    sgn,
 )
 from .receiver import ChannelInstance, filter_matrix, gram_matrix, rate_m, total_rate
 from .smp import (

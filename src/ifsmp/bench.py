@@ -1,10 +1,11 @@
 """Monte-Carlo benchmark harness for the three SMP solvers.
 
 Each trial draws one square Gaussian channel (N_r = N_t), builds the Gram
-matrix once, and runs every enabled algorithm on the same G.  Wall time is
-measured around the solve only.  Per-trial RNGs are derived from the
-config seed plus the (nt, p, trial) indices, so results do not depend on
-execution order.
+matrix once, and runs every enabled algorithm on the same G through the
+solve pipeline of `solve_smp`; algorithms differ only in the reduced solver
+`REDUCED_SOLVERS` maps them to.  Wall time is measured around the solve
+only.  Per-trial RNGs are derived from the config seed plus the
+(nt, p, trial) indices, so results do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .lll import DEFAULT_DELTA, lll_reduce
-from .matrixcore import cholesky
+from .lll import DEFAULT_DELTA
 from .errors import ConfigError
 from .receiver import gram_matrix, total_rate
-from .smp import _int_matmul, baseline_smp, brute_force_smp, solve_smp
+from .smp import ORACLE_MAX_DIM, _pipeline, baseline_smp, brute_force_smp, solve_rsmp
 
-ALGORITHMS = ("new", "baseline", "oracle")
-ORACLE_MAX_NT = 8
+REDUCED_SOLVERS = {"new": solve_rsmp, "baseline": baseline_smp, "oracle": brute_force_smp}
 CSV_HEADER = ["algorithm", "nt", "p_db", "trial", "rate_total", "wall_time_s", "seed"]
 
 
@@ -36,8 +35,6 @@ class BenchConfig:
     seed: int = 0
     delta: float = DEFAULT_DELTA
     algorithms: tuple[str, ...] = ("new", "baseline")
-    output_path: str | None = None
-    format: str = "csv"
 
     def validate(self) -> None:
         if self.trials < 1:
@@ -48,13 +45,11 @@ class BenchConfig:
             raise ConfigError("p_list_db must not be empty")
         if not 0.25 < self.delta <= 1.0:
             raise ConfigError("delta must be in (1/4, 1]")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
+        unknown = set(self.algorithms) - set(REDUCED_SOLVERS)
         if unknown or not self.algorithms:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
-        if "oracle" in self.algorithms and max(self.nt_list) > ORACLE_MAX_NT:
-            raise ConfigError(f"oracle allowed only for nt <= {ORACLE_MAX_NT}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.format}")
+        if "oracle" in self.algorithms and max(self.nt_list) > ORACLE_MAX_DIM:
+            raise ConfigError(f"oracle allowed only for nt <= {ORACLE_MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -82,19 +77,6 @@ def _trial_seed_sequence(seed: int, nt: int, p_idx: int, trial: int):
     return np.random.SeedSequence([seed, nt, p_idx, trial])
 
 
-def _solve(algorithm: str, g: np.ndarray, delta: float) -> np.ndarray:
-    """Run one solver on G; returns A* with columns as the minima vectors."""
-    if algorithm == "new":
-        return solve_smp(g, delta).a_star
-    r = cholesky(g)
-    reduced = lll_reduce(r, delta)
-    if algorithm == "baseline":
-        c_star, _ = baseline_smp(reduced.r_bar)
-    else:
-        c_star, _ = brute_force_smp(reduced.r_bar)
-    return _int_matmul(reduced.z, c_star)
-
-
 def run_benchmark(config: BenchConfig) -> tuple[list[BenchRecord], list[dict]]:
     """Run all configured (nt, p, trial) cells; returns records and summary.
 
@@ -113,7 +95,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[BenchRecord], list[dict]]:
                 g = gram_matrix(h, p)
                 for algorithm in config.algorithms:
                     t0 = time.perf_counter()
-                    a_star = _solve(algorithm, g, config.delta)
+                    a_star, _ = _pipeline(g, config.delta, REDUCED_SOLVERS[algorithm])
                     elapsed = time.perf_counter() - t0
                     rate = total_rate(a_star.T, g)
                     records.append(

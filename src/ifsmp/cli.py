@@ -68,8 +68,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             delta=args.delta,
             algorithms=tuple(args.algs.split(",")),
-            output_path=args.out,
-            format=args.format,
         )
         config.validate()
     except (ConfigError, ValueError) as exc:
@@ -86,12 +84,12 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['mean_wall_time_s']:>14.6e} "
               f"{row['median_wall_time_s']:>16.6e}")
 
-    if config.output_path is not None:
+    if args.out is not None:
         try:
-            if config.format == "csv":
-                write_csv(records, config.output_path)
+            if args.format == "csv":
+                write_csv(records, args.out)
             else:
-                write_json(records, summary, config.output_path)
+                write_json(records, summary, args.out)
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO

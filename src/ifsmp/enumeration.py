@@ -19,19 +19,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PreconditionViolated, SingularInput
-from .matrixcore import nearest_integer
-
-_SINGULAR_RTOL = 1e-14
+from .errors import PreconditionViolated
+from .matrixcore import check_nonsingular, nearest_integer
 
 
 def _as_rows(r_bar) -> list[list[float]]:
     r = np.asarray(r_bar, dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {r.shape}")
-    diag = np.abs(np.diag(r))
-    if np.min(diag) < _SINGULAR_RTOL * np.max(diag):
-        raise SingularInput("diagonal entry below 1e-14 of the largest")
+    check_nonsingular(r)
     return r.tolist()
 
 

@@ -5,6 +5,8 @@ column operation, a Lovasz swap is followed by a 2x2 Givens rotation that
 restores upper-triangularity, and all column operations are mirrored on an
 integer unimodular matrix Z so that ``r_bar = Q^T R Z`` for some orthogonal
 Q (never materialized).  Diagonal entries are kept positive throughout.
+The input passes the same `matrixcore.check_nonsingular` test as every
+enumeration entry point.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolated, SingularInput
-from .matrixcore import nearest_integer
+from .errors import PreconditionViolated
+from .matrixcore import check_nonsingular, nearest_integer
 
 DEFAULT_DELTA = 0.75
-_SINGULAR_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,6 @@ class LllResult:
     delta: float
 
 
-def _check_nonsingular(r: np.ndarray) -> None:
-    diag = np.abs(np.diag(r))
-    if np.min(diag) < _SINGULAR_RTOL * np.max(diag):
-        raise SingularInput("diagonal entry below 1e-14 of the largest")
-
-
 def lll_reduce(r: np.ndarray, delta: float = DEFAULT_DELTA) -> LllResult:
     """LLL-reduce an upper-triangular matrix.
 
@@ -50,8 +45,8 @@ def lll_reduce(r: np.ndarray, delta: float = DEFAULT_DELTA) -> LllResult:
     if not 0.25 < delta <= 1.0:
         raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
     r = np.array(r, dtype=float)
+    check_nonsingular(r)
     n = r.shape[0]
-    _check_nonsingular(r)
 
     z = np.eye(n, dtype=np.int64)
     # normalize diagonal signs up front (sign flips live in Q)

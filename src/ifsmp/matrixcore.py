@@ -12,34 +12,50 @@ import math
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NotSymmetric
+from .errors import NotPositiveDefinite, NotSymmetric, PreconditionViolated, SingularInput
 
 SYMMETRY_RTOL = 1e-12
+SINGULAR_RTOL = 1e-14
 
 
 def cholesky(g: np.ndarray) -> np.ndarray:
     """Upper-triangular Cholesky factor R of a symmetric positive definite
     matrix, with R^T R = g and positive diagonal.
 
-    Raises NotSymmetric / NotPositiveDefinite accordingly.
+    Raises PreconditionViolated (empty, or a NaN / infinite entry),
+    NotSymmetric or NotPositiveDefinite; each test fails on a NaN.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {g.shape}")
-    scale = np.max(np.abs(g)) or 1.0
-    if np.max(np.abs(g - g.T)) > SYMMETRY_RTOL * scale:
+    if not g.size:
+        raise PreconditionViolated("matrix is empty")
+    scale = np.max(np.abs(g))  # NaN or inf if any entry is
+    if not math.isfinite(scale):
+        raise PreconditionViolated("matrix has a NaN or infinite entry")
+    if not np.max(np.abs(g - g.T)) <= SYMMETRY_RTOL * (scale or 1.0):
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
 
     n = g.shape[0]
     r = np.zeros((n, n))
     for j in range(n):
         pivot = g[j, j] - r[:j, j] @ r[:j, j]
-        if pivot <= 0.0:
+        if not pivot > 0.0:
             raise NotPositiveDefinite(f"pivot {pivot} at index {j}")
         r[j, j] = math.sqrt(pivot)
         if j + 1 < n:
             r[j, j + 1:] = (g[j, j + 1:] - r[:j, j] @ r[:j, j + 1:]) / r[j, j]
     return r
+
+
+def check_nonsingular(r: np.ndarray) -> None:
+    """Raise PreconditionViolated unless r is nonempty and square, and
+    SingularInput unless min |r_ii| >= 1e-14 max |r_ii| (false on a NaN)."""
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or not r.size:
+        raise PreconditionViolated(f"expected a nonempty square matrix, got shape {r.shape}")
+    diag = np.abs(np.diag(r))
+    if not np.min(diag) >= SINGULAR_RTOL * np.max(diag):
+        raise SingularInput("diagonal entry below 1e-14 of the largest")
 
 
 def nearest_integer(x: float) -> int:
@@ -58,11 +74,6 @@ def nearest_integer(x: float) -> int:
     return f if f >= 0 else f + 1
 
 
-def sgn(x: float) -> int:
-    """Sign with sgn(0) = +1."""
-    return 1 if x >= 0 else -1
-
-
 def _to_int_rows(m) -> list[list[int]]:
     a = np.asarray(m)
     if a.ndim != 2:
@@ -70,17 +81,13 @@ def _to_int_rows(m) -> list[list[int]]:
     return [[int(v) for v in row] for row in a]
 
 
-def int_row_echelon(m) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) row echelon form of an integer matrix.
-
-    Returns (echelon, pivot_cols).  pivot_cols lists, in order, the column
-    of each nonzero row's leading coefficient; column j of m is linearly
-    independent of columns 0..j-1 exactly when j is in pivot_cols.
-    """
-    rows = _to_int_rows(m)
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of ``rows`` in place; returns the
+    pivot columns in order and the sign of the row swaps made."""
     n_rows, n_cols = len(rows), len(rows[0])
     piv_r = 0
     prev = 1
+    sign = 1
     pivot_cols: list[int] = []
     for col in range(n_cols):
         pr = next((r for r in range(piv_r, n_rows) if rows[r][col] != 0), None)
@@ -88,6 +95,7 @@ def int_row_echelon(m) -> tuple[list[list[int]], list[int]]:
             continue
         if pr != piv_r:
             rows[piv_r], rows[pr] = rows[pr], rows[piv_r]
+            sign = -sign
         pivot_cols.append(col)
         p = rows[piv_r][col]
         for r in range(piv_r + 1, n_rows):
@@ -101,7 +109,18 @@ def int_row_echelon(m) -> tuple[list[list[int]], list[int]]:
         piv_r += 1
         if piv_r == n_rows:
             break
-    return rows, pivot_cols
+    return pivot_cols, sign
+
+
+def int_row_echelon(m) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns (echelon, pivot_cols).  pivot_cols lists, in order, the column
+    of each nonzero row's leading coefficient; column j of m is linearly
+    independent of columns 0..j-1 exactly when j is in pivot_cols.
+    """
+    rows = _to_int_rows(m)
+    return rows, _bareiss(rows)[0]
 
 
 def int_rank(m) -> int:
@@ -110,40 +129,11 @@ def int_rank(m) -> int:
 
 
 def int_det(m) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
+    """Exact determinant of a square integer matrix: the signed last Bareiss
+    pivot when every column has a pivot, else 0."""
     rows = _to_int_rows(m)
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant requires a square matrix")
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pr = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pr is None:
-            return 0
-        if pr != col:
-            rows[col], rows[pr] = rows[pr], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            for c in range(col + 1, n):
-                rows[r][c] = (p * rows[r][c] - factor * rows[col][c]) // prev
-            rows[r][col] = 0
-        prev = p
-    return sign * rows[n - 1][n - 1]
-
-
-def first_rank_deficient_prefix(m, start: int = 0) -> int | None:
-    """Smallest column index j >= start such that columns 0..j of m are
-    linearly dependent, or None if every prefix has full column rank.
-
-    Assumes columns 0..start-1 are already independent.
-    """
-    _, pivot_cols = int_row_echelon(m)
-    pivots = set(pivot_cols)
-    n_cols = len(np.asarray(m)[0])
-    for j in range(start, n_cols):
-        if j not in pivots:
-            return j
-    return None
+    pivot_cols, sign = _bareiss(rows)
+    return sign * rows[-1][-1] if len(pivot_cols) == n else 0

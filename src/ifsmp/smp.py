@@ -1,6 +1,7 @@
 """Exact successive-minima solvers.
 
-`solve_smp` is the single-pass pipeline: Cholesky -> LLL -> one
+One pipeline, `_pipeline`, runs Cholesky -> LLL -> a reduced solver ->
+a_star = z @ c_star.  `solve_smp` runs it with `solve_rsmp`: one
 Schnorr-Euchner enumeration that starts from a permuted identity basis C and
 repairs it at every improving leaf c with the basis-update rule behind
 `update_basis`: with y = adj(C) c and i the stable insertion point of c,
@@ -10,7 +11,7 @@ leaf, so a leaf costs O(n) per column from the last down to i, and an
 accepted one O(n^2); no leaf re-runs an elimination.  `brute_force_smp`
 (exhaustive box search + greedy independent selection) is the ground-truth
 oracle, and `baseline_smp` rebuilds the column-by-column approach of prior
-solvers for timing comparison.
+solvers; the benchmark runs all three reduced solvers through `_pipeline`.
 
 All independence decisions are made on integer matrices with exact
 arithmetic; no floating-point rank tests anywhere.
@@ -28,7 +29,9 @@ import numpy as np
 from .enumeration import _as_rows, _search
 from .errors import DimensionTooLarge, PreconditionViolated, SingularCoefficientMatrix
 from .lll import DEFAULT_DELTA, lll_reduce
-from .matrixcore import cholesky, int_det, int_rank
+from .matrixcore import check_nonsingular, cholesky, int_det, int_rank
+
+ORACLE_MAX_DIM = 8  # largest dimension brute_force_smp accepts
 
 
 @dataclass(frozen=True)
@@ -126,16 +129,6 @@ def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
     return WorkingBasis(cols=tuple(cols), norms=tuple(norms))
 
 
-def _initial_basis(rows: list[list[float]]) -> WorkingBasis:
-    """Permuted identity columns sorted by ||r_bar e_k|| (stable)."""
-    n = len(rows)
-    col_norms = [math.hypot(*(rows[i][k] for i in range(k + 1))) for k in range(n)]
-    order = sorted(range(n), key=lambda k: col_norms[k])
-    cols = tuple(tuple(1 if r == k else 0 for r in range(n)) for k in order)
-    norms = tuple(col_norms[k] for k in order)
-    return WorkingBasis(cols=cols, norms=norms)
-
-
 def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Successive minima of L(r_bar) in a single enumeration pass.
 
@@ -146,9 +139,12 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     vectors) and the nondecreasing norms.
     """
     rows = _as_rows(r_bar)
-    start = _initial_basis(rows)
-    cols: list[tuple[int, ...]] = list(start.cols)
-    norms: list[float] = list(start.norms)
+    n = len(rows)
+    # permuted identity columns sorted by ||r_bar e_k|| (stable)
+    col_norms = [math.hypot(*(rows[i][k] for i in range(k + 1))) for k in range(n)]
+    order = sorted(range(n), key=lambda k: col_norms[k])
+    cols = [tuple(1 if r == k else 0 for r in range(n)) for k in order]
+    norms = [col_norms[k] for k in order]
     adj = [list(col) for col in cols]  # C^-1 = C^T for a permutation
     d = 1
 
@@ -164,7 +160,7 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
         return norms[-1] ** 2
 
     _search(rows, norms[-1] ** 2, on_leaf)
-    return WorkingBasis(cols=tuple(cols), norms=tuple(norms)).matrix(), norms
+    return np.array(cols, dtype=np.int64).T, norms
 
 
 def solve_smp(g, delta: float = DEFAULT_DELTA) -> SmpSolution:
@@ -176,10 +172,7 @@ def solve_smp(g, delta: float = DEFAULT_DELTA) -> SmpSolution:
     objective is the squared largest minimum and rate_total the resulting
     total achievable rate in bits per channel use.
     """
-    r = cholesky(g)
-    reduced = lll_reduce(r, delta)
-    c_star, lambdas = solve_rsmp(reduced.r_bar)
-    a_star = _int_matmul(reduced.z, c_star)
+    a_star, lambdas = _pipeline(g, delta, solve_rsmp)
     objective = lambdas[-1] ** 2
     n = a_star.shape[0]
     rate_total = n * max(0.0, -0.5 * math.log2(objective))
@@ -189,6 +182,14 @@ def solve_smp(g, delta: float = DEFAULT_DELTA) -> SmpSolution:
         objective=objective,
         rate_total=rate_total,
     )
+
+
+def _pipeline(g, delta: float, reduced_solver) -> tuple[np.ndarray, list[float]]:
+    """The solve pipeline: Cholesky -> LLL -> ``reduced_solver(r_bar)`` ->
+    a_star = z @ c_star.  Returns (a_star, lambdas)."""
+    reduced = lll_reduce(cholesky(g), delta)
+    c_star, lambdas = reduced_solver(reduced.r_bar)
+    return _int_matmul(reduced.z, c_star), lambdas
 
 
 def _int_matmul(a, b) -> np.ndarray:
@@ -203,20 +204,20 @@ def _column_norms(r: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(r, dtype=float), axis=0)
 
 
-def brute_force_smp(r_bar, max_dim: int = 8) -> tuple[np.ndarray, list[float]]:
+def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Ground-truth successive minima by exhaustive box enumeration.
 
     Enumerates every sign-canonical nonzero c in a box guaranteed to cover
     the ball of radius beta_0 = max_k ||r_bar e_k|| (non-strict, so the
     identity columns themselves are candidates), sorts by norm, and
     greedily keeps each vector that is exactly independent of those already
-    kept.  Exponential cost; guarded by max_dim.
+    kept.  Exponential cost; guarded by ORACLE_MAX_DIM.
     """
     r = np.asarray(r_bar, dtype=float)
     n = r.shape[0]
-    if n > max_dim:
-        raise DimensionTooLarge(f"brute force guarded at dimension {max_dim}")
-    _as_rows(r)  # nonsingularity check
+    if n > ORACLE_MAX_DIM:
+        raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
+    check_nonsingular(r)
     beta0 = float(np.max(_column_norms(r)))
 
     # per-coordinate bounds: |c_i| <= (beta0 + sum_{j>i} |r_ij| b_j) / |r_ii|

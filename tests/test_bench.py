@@ -1,5 +1,8 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,7 +92,7 @@ class TestOutput:
 
     def test_json_structure(self, tmp_path):
         config = BenchConfig(nt_list=(2,), p_list_db=(2.0,), trials=1, seed=1,
-                             algorithms=("new",), format="json")
+                             algorithms=("new",))
         records, summary = run_benchmark(config)
         path = tmp_path / "out.json"
         write_json(records, summary, str(path))
@@ -125,3 +128,18 @@ class TestCli:
 
         assert _parse_grid("2:2:16") == (2, 4, 6, 8, 10, 12, 14, 16)
         assert _parse_grid("1,5,9") == (1.0, 5.0, 9.0)
+
+
+def test_perfbench_runner_entry_points():
+    """perfbench/run.py calls library functions by name; a rename would only
+    show as failed benchmark operations, so run one short traced pass."""
+    runner = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    done = subprocess.run(
+        [sys.executable, str(runner), "--workload", "rankdef", "--seed", "1",
+         "--seconds", "0.1", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

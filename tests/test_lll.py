@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_gram
-from ifsmp import PreconditionViolated, SingularInput, cholesky, int_det, lll_reduce
+from ifsmp import (
+    PreconditionViolated,
+    SingularInput,
+    cholesky,
+    enumerate_below,
+    int_det,
+    lll_reduce,
+    solve_rsmp,
+    svp,
+)
 
 
 def assert_reduced(r_bar, delta):
@@ -44,8 +53,19 @@ def test_delta_out_of_range():
 
 
 def test_singular_rejected():
-    with pytest.raises(SingularInput):
-        lll_reduce(np.array([[1.0, 1.0], [0.0, 1e-16]]), 0.75)
+    # lll_reduce and every enumeration entry point share one check
+    entry_points = [lambda r: lll_reduce(r, 0.75), svp, solve_rsmp,
+                    lambda r: enumerate_below(r, 1.0, lambda c: None)]
+    cases = [
+        (np.array([[1.0, 1.0], [0.0, 1e-16]]), SingularInput),
+        (np.array([[1.0, 1.0], [0.0, np.nan]]), SingularInput),
+        (np.ones((2, 3)), PreconditionViolated),
+        (np.zeros((0, 0)), PreconditionViolated),
+    ]
+    for r, error in cases:
+        for entry in entry_points:
+            with pytest.raises(error):
+                entry(r)
 
 
 def test_random_corpus_invariants(rng):

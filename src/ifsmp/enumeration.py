@@ -20,13 +20,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PreconditionViolated
-from .matrixcore import check_nonsingular, nearest_integer
+from .matrixcore import check_nonsingular, float_rows, nearest_integer
 
 
 def _as_rows(r_bar) -> list[list[float]]:
-    r = np.asarray(r_bar, dtype=float)
-    check_nonsingular(r)
-    return r.tolist()
+    """r_bar (an ndarray or a list of rows) as checked rows of floats."""
+    rows = float_rows(r_bar)
+    check_nonsingular(rows)
+    return rows
 
 
 def _search(

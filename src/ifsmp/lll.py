@@ -7,6 +7,13 @@ integer unimodular matrix Z so that ``r_bar = Q^T R Z`` for some orthogonal
 Q (never materialized).  Diagonal entries are kept positive throughout.
 The input passes the same `matrixcore.check_nonsingular` test as every
 enumeration entry point.
+
+The one implementation, `_lll`, runs on Python lists: the columns of
+r_bar as floats and the columns of Z as exact Python ints, so a step costs
+no numpy scalar access or fancy indexing and Z cannot overflow.  It takes R
+as an ndarray (converted by one ``tolist``) or as a list of rows and returns
+lists of rows, which `smp._pipeline` hands straight to the reduced solver;
+`lll_reduce` is the ndarray wrapper around it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated
-from .matrixcore import check_nonsingular, nearest_integer
+from .matrixcore import check_nonsingular, float_rows, nearest_integer
 
 DEFAULT_DELTA = 0.75
 
@@ -35,24 +42,33 @@ class LllResult:
     delta: float
 
 
-def lll_reduce(r: np.ndarray, delta: float = DEFAULT_DELTA) -> LllResult:
+def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     """LLL-reduce an upper-triangular matrix.
 
     Output satisfies |r_ik| <= |r_ii|/2 for i < k and the Lovasz condition
     delta*r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_kk^2.  delta = 1 is accepted but
-    may take superpolynomially many swaps.
+    may take superpolynomially many swaps.  z is int64; converting it
+    raises OverflowError if an entry does not fit.
     """
+    r_bar, z = _lll(r, delta)
+    return LllResult(r_bar=np.array(r_bar), z=np.array(z, dtype=np.int64), delta=delta)
+
+
+def _lll(r, delta: float) -> tuple[list[list[float]], list[list[int]]]:
+    """`lll_reduce` on lists: returns the rows of r_bar (floats) and of z
+    (Python ints).  Checks delta first, then `check_nonsingular`."""
     if not 0.25 < delta <= 1.0:
         raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
-    r = np.array(r, dtype=float)
-    check_nonsingular(r)
-    n = r.shape[0]
+    rows = float_rows(r)
+    check_nonsingular(rows)
+    n = len(rows)
 
-    z = np.eye(n, dtype=np.int64)
     # normalize diagonal signs up front (sign flips live in Q)
-    for i in range(n):
-        if r[i, i] < 0:
-            r[i, i:] = -r[i, i:]
+    for i, row in enumerate(rows):
+        if row[i] < 0:
+            row[i:] = [-v for v in row[i:]]
+    cols = [list(col) for col in zip(*rows)]
+    z = [[int(i == k) for i in range(n)] for k in range(n)]  # columns
 
     max_sweeps = max(1000, 10 * n * n * 64)
     sweeps = 0
@@ -61,30 +77,32 @@ def lll_reduce(r: np.ndarray, delta: float = DEFAULT_DELTA) -> LllResult:
         sweeps += 1
         if sweeps > max_sweeps:
             raise RuntimeError("LLL iteration cap exceeded")
-        mu = nearest_integer(r[k - 1, k] / r[k - 1, k - 1])
+        col, prev = cols[k], cols[k - 1]
+        mu = nearest_integer(col[k - 1] / prev[k - 1])
         if mu:
-            r[: k, k] -= mu * r[: k, k - 1]
-            z[:, k] -= mu * z[:, k - 1]
-        if delta * r[k - 1, k - 1] ** 2 > r[k - 1, k] ** 2 + r[k, k] ** 2:
-            r[:, [k - 1, k]] = r[:, [k, k - 1]]
-            z[:, [k - 1, k]] = z[:, [k, k - 1]]
+            col[:k] = [x - mu * y for x, y in zip(col[:k], prev)]
+            z[k] = [x - mu * y for x, y in zip(z[k], z[k - 1])]
+        if delta * prev[k - 1] ** 2 > col[k - 1] ** 2 + col[k] ** 2:
+            cols[k - 1], cols[k] = col, prev
+            z[k - 1], z[k] = z[k], z[k - 1]
             # Givens rotation on rows k-1, k restores triangularity
-            a, b = r[k - 1, k - 1], r[k, k - 1]
+            a, b = col[k - 1], col[k]
             h = math.hypot(a, b)
             c, s = a / h, b / h
-            upper = c * r[k - 1, k - 1:] + s * r[k, k - 1:]
-            lower = -s * r[k - 1, k - 1:] + c * r[k, k - 1:]
-            r[k - 1, k - 1:] = upper
-            r[k, k - 1:] = lower
-            r[k, k - 1] = 0.0
-            if r[k, k] < 0:
-                r[k, k:] = -r[k, k:]
+            for v in cols[k - 1:]:
+                x, y = v[k - 1], v[k]
+                v[k - 1] = c * x + s * y
+                v[k] = -s * x + c * y
+            col[k] = 0.0
+            if prev[k] < 0:
+                for v in cols[k:]:
+                    v[k] = -v[k]
             k = max(k - 1, 1)
         else:
             for i in range(k - 2, -1, -1):
-                mu = nearest_integer(r[i, k] / r[i, i])
+                mu = nearest_integer(col[i] / cols[i][i])
                 if mu:
-                    r[: i + 1, k] -= mu * r[: i + 1, i]
-                    z[:, k] -= mu * z[:, i]
+                    col[: i + 1] = [x - mu * y for x, y in zip(col[: i + 1], cols[i])]
+                    z[k] = [x - mu * y for x, y in zip(z[k], z[i])]
             k += 1
-    return LllResult(r_bar=r, z=z, delta=delta)
+    return [list(row) for row in zip(*cols)], [list(row) for row in zip(*z)]

@@ -1,13 +1,16 @@
 """Dense real linear algebra and exact integer matrix utilities.
 
-Real matrices are plain ``numpy.ndarray`` (float64).  Integer matrices are
-handled with native Python ints internally, so every rank / determinant
+Real matrices enter as ``numpy.ndarray`` (float64); the triangular inputs
+of the reduction and enumeration stages are lists of rows of Python floats
+(`float_rows`), checked by the one `check_nonsingular`.  Integer matrices
+are handled with native Python ints internally, so every rank / determinant
 decision is exact: no tolerance, no overflow (Python ints are unbounded,
 which subsumes a 64->128 bit widening scheme).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -48,14 +51,36 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     return r
 
 
-def check_nonsingular(r: np.ndarray) -> None:
-    """Raise PreconditionViolated unless r is nonempty and square, and
-    SingularInput unless min |r_ii| >= 1e-14 max |r_ii| (false on a NaN)."""
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or not r.size:
-        raise PreconditionViolated(f"expected a nonempty square matrix, got shape {r.shape}")
-    diag = np.abs(np.diag(r))
-    if not np.min(diag) >= SINGULAR_RTOL * np.max(diag):
+def float_rows(m) -> list[list[float]]:
+    """m as a list of rows of Python floats: an ndarray by one ``tolist``,
+    a sequence of rows entry by entry (no numpy round trip).  Raises
+    PreconditionViolated unless m is two-dimensional."""
+    if isinstance(m, np.ndarray):
+        if m.ndim != 2:
+            raise PreconditionViolated(f"expected a 2-D matrix, got shape {m.shape}")
+        return m.astype(float, copy=False).tolist()
+    try:
+        return [[float(v) for v in row] for row in m]
+    except TypeError:
+        raise PreconditionViolated("expected a 2-D matrix of numbers") from None
+
+
+def check_nonsingular(rows: list[list[float]]) -> None:
+    """Check a triangular input given as a list of rows (see `float_rows`).
+
+    Raises PreconditionViolated unless it is nonempty and square,
+    SingularInput unless every |r_ii| >= 1e-14 max |r_ii| (false on a NaN),
+    and PreconditionViolated if any entry is NaN or infinite.
+    """
+    n = len(rows)
+    if not n or any(len(row) != n for row in rows):
+        raise PreconditionViolated(f"expected a nonempty square matrix, got {n} rows")
+    diag = [abs(rows[i][i]) for i in range(n)]
+    bound = SINGULAR_RTOL * max(diag)
+    if not all(v >= bound for v in diag):
         raise SingularInput("diagonal entry below 1e-14 of the largest")
+    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        raise PreconditionViolated("matrix has a NaN or infinite entry")
 
 
 def nearest_integer(x: float) -> int:
@@ -76,8 +101,8 @@ def nearest_integer(x: float) -> int:
 
 def _to_int_rows(m) -> list[list[int]]:
     a = np.asarray(m)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
+    if a.ndim != 2 or not a.size:
+        raise PreconditionViolated(f"expected a nonempty 2-D matrix, got shape {a.shape}")
     return [[int(v) for v in row] for row in a]
 
 
@@ -134,6 +159,6 @@ def int_det(m) -> int:
     rows = _to_int_rows(m)
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
+        raise PreconditionViolated("determinant requires a square matrix")
     pivot_cols, sign = _bareiss(rows)
     return sign * rows[-1][-1] if len(pivot_cols) == n else 0

@@ -13,6 +13,15 @@ accepted one O(n^2); no leaf re-runs an elimination.  `brute_force_smp`
 oracle, and `baseline_smp` rebuilds the column-by-column approach of prior
 solvers; the benchmark runs all three reduced solvers through `_pipeline`.
 
+Between Cholesky and a_star the pipeline works on Python lists: R is
+converted once, when LLL reads it, r_bar reaches the reduced solver as a
+list of float rows (every solver accepts the same type and runs the same
+checks), and z @ c_star is multiplied in Python ints and converted to int64
+once, as a_star.  Per-call numpy overhead dominates at small n, so lists
+are faster there.  `gram_matrix` and `cholesky` stay numpy: their dot
+products go through BLAS, whose rounding a Python loop does not reproduce
+bit for bit, so moving them would change the answers.
+
 All independence decisions are made on integer matrices with exact
 arithmetic; no floating-point rank tests anywhere.
 """
@@ -28,8 +37,8 @@ import numpy as np
 
 from .enumeration import _as_rows, _search
 from .errors import DimensionTooLarge, PreconditionViolated, SingularCoefficientMatrix
-from .lll import DEFAULT_DELTA, lll_reduce
-from .matrixcore import check_nonsingular, cholesky, int_det, int_rank
+from .lll import DEFAULT_DELTA, _lll
+from .matrixcore import check_nonsingular, cholesky, float_rows, int_det, int_rank
 
 ORACLE_MAX_DIM = 8  # largest dimension brute_force_smp accepts
 
@@ -186,21 +195,22 @@ def solve_smp(g, delta: float = DEFAULT_DELTA) -> SmpSolution:
 
 def _pipeline(g, delta: float, reduced_solver) -> tuple[np.ndarray, list[float]]:
     """The solve pipeline: Cholesky -> LLL -> ``reduced_solver(r_bar)`` ->
-    a_star = z @ c_star.  Returns (a_star, lambdas)."""
-    reduced = lll_reduce(cholesky(g), delta)
-    c_star, lambdas = reduced_solver(reduced.r_bar)
-    return _int_matmul(reduced.z, c_star), lambdas
+    a_star = z @ c_star, on lists between `cholesky` and the int64 a_star.
+    Returns (a_star, lambdas)."""
+    r_bar, z = _lll(cholesky(g), delta)
+    c_star, lambdas = reduced_solver(r_bar)
+    return _int_matmul(z, c_star), lambdas
 
 
 def _int_matmul(a, b) -> np.ndarray:
-    """Exact integer matrix product; conversion raises on 64-bit overflow."""
-    a_rows = [[int(v) for v in row] for row in np.asarray(a)]
-    b_cols = [[int(v) for v in col] for col in np.asarray(b).T]
-    prod = [[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in a_rows]
-    return np.array(prod, dtype=np.int64)
+    """Exact product of integer matrices (ndarrays or lists of rows) in
+    Python ints; the int64 result conversion raises on overflow."""
+    a_rows, b_rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in (a, b))
+    b_cols = list(zip(*b_rows))
+    return np.array([[sum(map(mul, row, col)) for col in b_cols] for row in a_rows], dtype=np.int64)
 
 
-def _column_norms(r: np.ndarray) -> np.ndarray:
+def _column_norms(r) -> np.ndarray:
     return np.linalg.norm(np.asarray(r, dtype=float), axis=0)
 
 
@@ -213,11 +223,12 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     greedily keeps each vector that is exactly independent of those already
     kept.  Exponential cost; guarded by ORACLE_MAX_DIM.
     """
-    r = np.asarray(r_bar, dtype=float)
-    n = r.shape[0]
+    rows = float_rows(r_bar)
+    n = len(rows)
     if n > ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
-    check_nonsingular(r)
+    check_nonsingular(rows)
+    r = np.array(rows)
     beta0 = float(np.max(_column_norms(r)))
 
     # per-coordinate bounds: |c_i| <= (beta0 + sum_{j>i} |r_ij| b_j) / |r_ii|
@@ -276,10 +287,9 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     radius starts just above the k-th smallest identity-column norm and
     shrinks on every improving independent candidate.
     """
-    r = np.asarray(r_bar, dtype=float)
-    rows = _as_rows(r)
-    n = r.shape[0]
-    ident_norms = sorted(_column_norms(r))
+    rows = _as_rows(r_bar)
+    n = len(rows)
+    ident_norms = sorted(_column_norms(rows))
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
     for k in range(n):

@@ -130,12 +130,15 @@ class TestCli:
         assert _parse_grid("1,5,9") == (1.0, 5.0, 9.0)
 
 
-def test_perfbench_runner_entry_points():
+@pytest.mark.parametrize("workload", ["rankdef", "small"])
+def test_perfbench_runner_entry_points(workload):
     """perfbench/run.py calls library functions by name; a rename would only
-    show as failed benchmark operations, so run one short traced pass."""
+    show as failed benchmark operations, so run one short traced pass.  The
+    runner also fails any channel whose stage-by-stage solve differs from
+    solve_smp bit for bit; `small` covers nt = 2, which `rankdef` never draws."""
     runner = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
     done = subprocess.run(
-        [sys.executable, str(runner), "--workload", "rankdef", "--seed", "1",
+        [sys.executable, str(runner), "--workload", workload, "--seed", "1",
          "--seconds", "0.1", "--trace", "1"],
         capture_output=True, text=True, timeout=300,
     )

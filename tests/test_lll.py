@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,15 @@ def test_singular_rejected():
         (np.array([[1.0, 1.0], [0.0, np.nan]]), SingularInput),
         (np.ones((2, 3)), PreconditionViolated),
         (np.zeros((0, 0)), PreconditionViolated),
+        # a NaN or infinite entry off the diagonal, as an ndarray or a list
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), PreconditionViolated),
+        ([[1, math.nan], [0, 1]], PreconditionViolated),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), PreconditionViolated),
+        (np.array([[1.0, -np.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), PreconditionViolated),
+        (np.array([[1.0, 0.0], [np.nan, 1.0]]), PreconditionViolated),
+        (np.diag([np.inf, np.inf]), PreconditionViolated),
+        (np.ones(3), PreconditionViolated),
+        ([1.0, 2.0], PreconditionViolated),
     ]
     for r, error in cases:
         for entry in entry_points:

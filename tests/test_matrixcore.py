@@ -103,6 +103,14 @@ class TestIntEchelon:
         assert pivots == [0, 1, 2, 3]
         assert int_rank(ech) == 4
 
+    def test_empty_rejected(self):
+        for m in (np.zeros((0, 0), dtype=int), np.zeros((0, 3), dtype=int),
+                  np.zeros((3, 0), dtype=int), []):
+            with pytest.raises(PreconditionViolated):
+                int_row_echelon(m)
+            with pytest.raises(PreconditionViolated):
+                int_rank(m)
+
     def test_rank_one(self):
         ech, pivots = int_row_echelon([[1, 2], [2, 4]])
         assert pivots == [0]
@@ -126,6 +134,11 @@ class TestIntDet:
         assert int_det([[2, 1], [1, 1]]) == 1
         assert int_det([[1, 2], [2, 4]]) == 0
         assert int_det(np.eye(5, dtype=int)) == 1
+
+    def test_empty_and_non_square_rejected(self):
+        for m in (np.zeros((0, 0), dtype=int), np.zeros((0, 3), dtype=int), [], [[1, 2]]):
+            with pytest.raises(PreconditionViolated):
+                int_det(m)
 
     def test_random_vs_numpy(self, rng):
         for trial in range(360):

@@ -20,7 +20,8 @@ from ifsmp import (
     solve_smp,
     update_basis,
 )
-from ifsmp.smp import _adjugate, _exchange
+from ifsmp.bench import REDUCED_SOLVERS
+from ifsmp.smp import _adjugate, _exchange, _int_matmul, _pipeline
 
 
 def largest_removable(cols, norms, cand, cand_norm):
@@ -268,3 +269,31 @@ class TestSolveSmp:
         base = solve_smp(g).objective
         for alpha in (0.5, 2.0, 7.0):
             assert solve_smp(alpha * g).objective == pytest.approx(alpha * base, rel=1e-9)
+
+    def test_staged_path_bit_identical(self, rng):
+        # inputs the benchmark never draws: Gaussian nt 5-8, n_r != n_t,
+        # delta = 0.99, and a rank-deficient H at 20 dB
+        cases = [(rng.standard_normal((nt, nt)), p_db, 0.75)
+                 for nt in (5, 6, 7, 8) for p_db in (0.0, 10.0, 20.0)]
+        cases += [(rng.standard_normal(shape), 10.0, 0.75)
+                  for shape in ((2, 4), (6, 3), (3, 5), (5, 2))]
+        cases += [(rng.standard_normal((nt, nt)), 10.0, 0.99) for nt in (3, 4, 5, 6)]
+        for _ in range(3):
+            h = rng.standard_normal((4, 4))
+            h[:, 1] = h[:, 0]
+            cases.append((h, 20.0, 0.75))
+        for h, p_db, delta in cases:
+            g = gram_matrix(h, 10.0 ** (p_db / 10.0))
+            sol = solve_smp(g, delta)
+            reduced = lll_reduce(cholesky(g), delta)
+            c_star, lambdas = solve_rsmp(reduced.r_bar)
+            a_star = _int_matmul(reduced.z, c_star)
+            assert (a_star.dtype, a_star.shape) == (sol.a_star.dtype, sol.a_star.shape)
+            assert a_star.tobytes() == sol.a_star.tobytes()
+            assert [x.hex() for x in lambdas] == [x.hex() for x in sol.lambdas]
+            if h.shape[1] > 5:
+                continue
+            for name, solver in REDUCED_SOLVERS.items():
+                a, lam = _pipeline(g, delta, solver)
+                assert lam == pytest.approx(lambdas, rel=1e-9), name
+                assert int_det(a) != 0, name

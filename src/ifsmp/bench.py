@@ -18,7 +18,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .lll import DEFAULT_DELTA
 from .errors import ConfigError
 from .receiver import gram_matrix, total_rate
 from .smp import ORACLE_MAX_DIM, _pipeline, baseline_smp, brute_force_smp, solve_rsmp
@@ -33,7 +32,6 @@ class BenchConfig:
     p_list_db: tuple[float, ...]
     trials: int = 2000
     seed: int = 0
-    delta: float = DEFAULT_DELTA
     algorithms: tuple[str, ...] = ("new", "baseline")
 
     def validate(self) -> None:
@@ -43,8 +41,6 @@ class BenchConfig:
             raise ConfigError("nt_list must contain positive dimensions")
         if not self.p_list_db:
             raise ConfigError("p_list_db must not be empty")
-        if not 0.25 < self.delta <= 1.0:
-            raise ConfigError("delta must be in (1/4, 1]")
         unknown = set(self.algorithms) - set(REDUCED_SOLVERS)
         if unknown or not self.algorithms:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
@@ -95,7 +91,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[BenchRecord], list[dict]]:
                 g = gram_matrix(h, p)
                 for algorithm in config.algorithms:
                     t0 = time.perf_counter()
-                    a_star, _ = _pipeline(g, config.delta, REDUCED_SOLVERS[algorithm])
+                    a_star, _ = _pipeline(g, REDUCED_SOLVERS[algorithm])
                     elapsed = time.perf_counter() - t0
                     rate = total_rate(a_star.T, g)
                     records.append(

@@ -11,7 +11,6 @@ import sys
 
 from .bench import BenchConfig, run_benchmark, write_csv, write_json
 from .errors import ConfigError
-from .lll import DEFAULT_DELTA
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=200,
                         help="trials per (nt, P) cell; >= 30 recommended for stable means")
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument("--delta", type=float, default=DEFAULT_DELTA,
-                        help="LLL parameter in (1/4, 1]")
     parser.add_argument("--algs", default="new,baseline",
                         help="subset of new,baseline,oracle")
     parser.add_argument("--out", default=None, help="output file path")
@@ -66,7 +63,6 @@ def main(argv: list[str] | None = None) -> int:
             p_list_db=_parse_grid(args.pdb),
             trials=args.trials,
             seed=args.seed,
-            delta=args.delta,
             algorithms=tuple(args.algs.split(",")),
         )
         config.validate()

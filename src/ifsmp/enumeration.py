@@ -20,14 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PreconditionViolated
-from .matrixcore import check_nonsingular, float_rows, nearest_integer
-
-
-def _as_rows(r_bar) -> list[list[float]]:
-    """r_bar (an ndarray or a list of rows) as checked rows of floats."""
-    rows = float_rows(r_bar)
-    check_nonsingular(rows)
-    return rows
+from .matrixcore import checked_rows, nearest_integer
 
 
 def _search(
@@ -91,7 +84,7 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
     """
     if not beta > 0:
         raise PreconditionViolated("beta must be positive")
-    rows = _as_rows(r_bar)
+    rows = checked_rows(r_bar)
 
     def on_leaf(c: list[int], norm_sq: float) -> Optional[float]:
         new_beta = visit(np.array(c, dtype=np.int64))
@@ -106,7 +99,7 @@ def svp(r_bar) -> tuple[np.ndarray, float]:
     Returns the sign-canonical coefficient vector and its norm.  Starts at
     an effectively infinite radius; the first leaf shrinks it immediately.
     """
-    rows = _as_rows(r_bar)
+    rows = checked_rows(r_bar)
     best: dict = {"c": None, "norm_sq": math.inf}
 
     def on_leaf(c: list[int], norm_sq: float) -> float:

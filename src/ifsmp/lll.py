@@ -5,7 +5,7 @@ column operation, a Lovasz swap is followed by a 2x2 Givens rotation that
 restores upper-triangularity, and all column operations are mirrored on an
 integer unimodular matrix Z so that ``r_bar = Q^T R Z`` for some orthogonal
 Q (never materialized).  Diagonal entries are kept positive throughout.
-The input passes the same `matrixcore.check_nonsingular` test as every
+The input passes the same gate, `matrixcore.checked_rows`, as every
 enumeration entry point.
 
 The one implementation, `_lll`, runs on Python lists: the columns of
@@ -13,7 +13,8 @@ r_bar as floats and the columns of Z as exact Python ints, so a step costs
 no numpy scalar access or fancy indexing and Z cannot overflow.  It takes R
 as an ndarray (converted by one ``tolist``) or as a list of rows and returns
 lists of rows, which `smp._pipeline` hands straight to the reduced solver;
-`lll_reduce` is the ndarray wrapper around it.
+`lll_reduce` is the ndarray wrapper around it and the one place delta is
+checked (the pipeline always runs at DEFAULT_DELTA).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated
-from .matrixcore import check_nonsingular, float_rows, nearest_integer
+from .matrixcore import checked_rows, nearest_integer
 
 DEFAULT_DELTA = 0.75
 
@@ -48,19 +49,19 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     Output satisfies |r_ik| <= |r_ii|/2 for i < k and the Lovasz condition
     delta*r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_kk^2.  delta = 1 is accepted but
     may take superpolynomially many swaps.  z is int64; converting it
-    raises OverflowError if an entry does not fit.
+    raises OverflowError if an entry does not fit.  Checks delta first, then
+    the input (`checked_rows`).
     """
+    if not 0.25 < delta <= 1.0:
+        raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
     r_bar, z = _lll(r, delta)
     return LllResult(r_bar=np.array(r_bar), z=np.array(z, dtype=np.int64), delta=delta)
 
 
 def _lll(r, delta: float) -> tuple[list[list[float]], list[list[int]]]:
-    """`lll_reduce` on lists: returns the rows of r_bar (floats) and of z
-    (Python ints).  Checks delta first, then `check_nonsingular`."""
-    if not 0.25 < delta <= 1.0:
-        raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
-    rows = float_rows(r)
-    check_nonsingular(rows)
+    """`lll_reduce` on lists, for a delta in (1/4, 1]: returns the rows of
+    r_bar (floats) and of z (Python ints)."""
+    rows = checked_rows(r)
     n = len(rows)
 
     # normalize diagonal signs up front (sign flips live in Q)

@@ -1,8 +1,8 @@
 """Dense real linear algebra and exact integer matrix utilities.
 
 Real matrices enter as ``numpy.ndarray`` (float64); the triangular inputs
-of the reduction and enumeration stages are lists of rows of Python floats
-(`float_rows`), checked by the one `check_nonsingular`.  Integer matrices
+of the reduction and enumeration stages pass one gate, `checked_rows`,
+which returns them as lists of rows of Python floats.  Integer matrices
 are handled with native Python ints internally, so every rank / determinant
 decision is exact: no tolerance, no overflow (Python ints are unbounded,
 which subsumes a 64->128 bit widening scheme).
@@ -51,27 +51,24 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     return r
 
 
-def float_rows(m) -> list[list[float]]:
-    """m as a list of rows of Python floats: an ndarray by one ``tolist``,
-    a sequence of rows entry by entry (no numpy round trip).  Raises
-    PreconditionViolated unless m is two-dimensional."""
-    if isinstance(m, np.ndarray):
-        if m.ndim != 2:
-            raise PreconditionViolated(f"expected a 2-D matrix, got shape {m.shape}")
-        return m.astype(float, copy=False).tolist()
-    try:
-        return [[float(v) for v in row] for row in m]
-    except TypeError:
-        raise PreconditionViolated("expected a 2-D matrix of numbers") from None
+def checked_rows(m) -> list[list[float]]:
+    """The one gate of a triangular input: m (an ndarray, converted by one
+    ``tolist``, or a sequence of rows, converted entry by entry with no
+    numpy round trip) as a list of rows of Python floats.
 
-
-def check_nonsingular(rows: list[list[float]]) -> None:
-    """Check a triangular input given as a list of rows (see `float_rows`).
-
-    Raises PreconditionViolated unless it is nonempty and square,
+    Raises PreconditionViolated unless m is a nonempty square 2-D matrix,
     SingularInput unless every |r_ii| >= 1e-14 max |r_ii| (false on a NaN),
     and PreconditionViolated if any entry is NaN or infinite.
     """
+    if isinstance(m, np.ndarray):
+        if m.ndim != 2:
+            raise PreconditionViolated(f"expected a 2-D matrix, got shape {m.shape}")
+        rows = m.astype(float, copy=False).tolist()
+    else:
+        try:
+            rows = [[float(v) for v in row] for row in m]
+        except TypeError:
+            raise PreconditionViolated("expected a 2-D matrix of numbers") from None
     n = len(rows)
     if not n or any(len(row) != n for row in rows):
         raise PreconditionViolated(f"expected a nonempty square matrix, got {n} rows")
@@ -81,6 +78,7 @@ def check_nonsingular(rows: list[list[float]]) -> None:
         raise SingularInput("diagonal entry below 1e-14 of the largest")
     if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
         raise PreconditionViolated("matrix has a NaN or infinite entry")
+    return rows
 
 
 def nearest_integer(x: float) -> int:

@@ -13,33 +13,41 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import InvalidPower, SingularCoefficientMatrix, ZeroVector
+from .errors import InvalidPower, PreconditionViolated, SingularCoefficientMatrix, ZeroVector
 from .matrixcore import int_det
+
+
+def _covariance_solve(h, p: float, a=None) -> tuple[np.ndarray, np.ndarray]:
+    """H as floats and (H H^T + I/P)^{-1} H A^T (A = I when omitted), by a
+    Cholesky solve; the inverse is never formed.
+
+    Raises InvalidPower unless 0 < P < inf, and PreconditionViolated unless
+    H is a 2-D matrix of finite entries.
+    """
+    if not 0 < p < math.inf:  # false on a NaN
+        raise InvalidPower(f"power must be positive and finite, got {p}")
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or not np.isfinite(h).all():
+        raise PreconditionViolated(f"expected a 2-D channel of finite entries, shape {h.shape}")
+    b = h if a is None else h @ np.asarray(a, dtype=float).T
+    m = h @ h.T + np.eye(h.shape[0]) / p
+    return h, cho_solve(cho_factor(m), b)
 
 
 def gram_matrix(h, p: float) -> np.ndarray:
     """G = I - H^T (H H^T + I/P)^{-1} H, symmetrized.
 
-    Positive definite with eigenvalues in (0, 1] for any H and P > 0.  The
-    inner inverse is applied through a Cholesky solve, never formed.
+    Positive definite with eigenvalues in (0, 1] for any finite H and
+    0 < P < inf.
     """
-    if p <= 0:
-        raise InvalidPower(f"power must be positive, got {p}")
-    h = np.asarray(h, dtype=float)
-    n_r = h.shape[0]
-    m = h @ h.T + np.eye(n_r) / p
-    g = np.eye(h.shape[1]) - h.T @ cho_solve(cho_factor(m), h)
+    h, x = _covariance_solve(h, p)
+    g = np.eye(h.shape[1]) - h.T @ x
     return (g + g.T) / 2
 
 
 def filter_matrix(a, h, p: float) -> np.ndarray:
     """MMSE filter B with rows b_m^T = a_m^T H^T (H H^T + I/P)^{-1}."""
-    if p <= 0:
-        raise InvalidPower(f"power must be positive, got {p}")
-    a = np.asarray(a, dtype=float)
-    h = np.asarray(h, dtype=float)
-    m = h @ h.T + np.eye(h.shape[0]) / p
-    return cho_solve(cho_factor(m), h @ a.T).T
+    return _covariance_solve(h, p, a)[1].T
 
 
 def rate_m(a_m, g) -> float:

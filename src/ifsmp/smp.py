@@ -1,7 +1,7 @@
 """Exact successive-minima solvers.
 
-One pipeline, `_pipeline`, runs Cholesky -> LLL -> a reduced solver ->
-a_star = z @ c_star.  `solve_smp` runs it with `solve_rsmp`: one
+One pipeline, `_pipeline`, runs Cholesky -> LLL (at DEFAULT_DELTA) -> a
+reduced solver -> a_star = z @ c_star.  `solve_smp` runs it with `solve_rsmp`: one
 Schnorr-Euchner enumeration that starts from a permuted identity basis C and
 repairs it at every improving leaf c with the basis-update rule behind
 `update_basis`: with y = adj(C) c and i the stable insertion point of c,
@@ -15,15 +15,16 @@ solvers; the benchmark runs all three reduced solvers through `_pipeline`.
 
 Between Cholesky and a_star the pipeline works on Python lists: R is
 converted once, when LLL reads it, r_bar reaches the reduced solver as a
-list of float rows (every solver accepts the same type and runs the same
-checks), and z @ c_star is multiplied in Python ints and converted to int64
+list of float rows (every solver passes it through the one gate,
+`matrixcore.checked_rows`), and z @ c_star is multiplied in Python ints and converted to int64
 once, as a_star.  Per-call numpy overhead dominates at small n, so lists
 are faster there.  `gram_matrix` and `cholesky` stay numpy: their dot
 products go through BLAS, whose rounding a Python loop does not reproduce
 bit for bit, so moving them would change the answers.
 
 All independence decisions are made on integer matrices with exact
-arithmetic; no floating-point rank tests anywhere.
+arithmetic (`int_rank` of the coefficient columns taken as rows); no
+floating-point rank tests anywhere.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from operator import mul
 
 import numpy as np
 
-from .enumeration import _as_rows, _search
+from .enumeration import _search
 from .errors import DimensionTooLarge, PreconditionViolated, SingularCoefficientMatrix
 from .lll import DEFAULT_DELTA, _lll
-from .matrixcore import check_nonsingular, cholesky, float_rows, int_det, int_rank
+from .matrixcore import checked_rows, cholesky, int_det, int_rank
 
 ORACLE_MAX_DIM = 8  # largest dimension brute_force_smp accepts
 
@@ -138,6 +139,11 @@ def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
     return WorkingBasis(cols=tuple(cols), norms=tuple(norms))
 
 
+def _identity_norms(rows: list[list[float]]) -> list[float]:
+    """||r_bar e_k|| for each k, of an upper-triangular r_bar given as rows."""
+    return [math.hypot(*(rows[i][k] for i in range(k + 1))) for k in range(len(rows))]
+
+
 def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Successive minima of L(r_bar) in a single enumeration pass.
 
@@ -147,10 +153,10 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     Returns the invertible coefficient matrix (columns are the minima
     vectors) and the nondecreasing norms.
     """
-    rows = _as_rows(r_bar)
+    rows = checked_rows(r_bar)
     n = len(rows)
     # permuted identity columns sorted by ||r_bar e_k|| (stable)
-    col_norms = [math.hypot(*(rows[i][k] for i in range(k + 1))) for k in range(n)]
+    col_norms = _identity_norms(rows)
     order = sorted(range(n), key=lambda k: col_norms[k])
     cols = [tuple(1 if r == k else 0 for r in range(n)) for k in order]
     norms = [col_norms[k] for k in order]
@@ -172,16 +178,17 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     return np.array(cols, dtype=np.int64).T, norms
 
 
-def solve_smp(g, delta: float = DEFAULT_DELTA) -> SmpSolution:
+def solve_smp(g) -> SmpSolution:
     """Optimal integer coefficient matrix for a positive definite Gram matrix.
 
-    Pipeline: Cholesky factor R, LLL-reduce to r_bar with unimodular z,
+    Pipeline: Cholesky factor R, LLL-reduce (at DEFAULT_DELTA; delta
+    changes the work done, never the minima) to r_bar with unimodular z,
     solve the reduced problem, undo the reduction with a_star = z @ c_star.
     The columns of a_star attain the successive minima of L(R); the
     objective is the squared largest minimum and rate_total the resulting
     total achievable rate in bits per channel use.
     """
-    a_star, lambdas = _pipeline(g, delta, solve_rsmp)
+    a_star, lambdas = _pipeline(g, solve_rsmp)
     objective = lambdas[-1] ** 2
     n = a_star.shape[0]
     rate_total = n * max(0.0, -0.5 * math.log2(objective))
@@ -193,11 +200,11 @@ def solve_smp(g, delta: float = DEFAULT_DELTA) -> SmpSolution:
     )
 
 
-def _pipeline(g, delta: float, reduced_solver) -> tuple[np.ndarray, list[float]]:
+def _pipeline(g, reduced_solver) -> tuple[np.ndarray, list[float]]:
     """The solve pipeline: Cholesky -> LLL -> ``reduced_solver(r_bar)`` ->
     a_star = z @ c_star, on lists between `cholesky` and the int64 a_star.
     Returns (a_star, lambdas)."""
-    r_bar, z = _lll(cholesky(g), delta)
+    r_bar, z = _lll(cholesky(g), DEFAULT_DELTA)
     c_star, lambdas = reduced_solver(r_bar)
     return _int_matmul(z, c_star), lambdas
 
@@ -210,10 +217,6 @@ def _int_matmul(a, b) -> np.ndarray:
     return np.array([[sum(map(mul, row, col)) for col in b_cols] for row in a_rows], dtype=np.int64)
 
 
-def _column_norms(r) -> np.ndarray:
-    return np.linalg.norm(np.asarray(r, dtype=float), axis=0)
-
-
 def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Ground-truth successive minima by exhaustive box enumeration.
 
@@ -223,13 +226,21 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     greedily keeps each vector that is exactly independent of those already
     kept.  Exponential cost; guarded by ORACLE_MAX_DIM.
     """
-    rows = float_rows(r_bar)
-    n = len(rows)
-    if n > ORACLE_MAX_DIM:
+    try:
+        too_large = len(r_bar) > ORACLE_MAX_DIM
+    except TypeError:  # not a sequence of rows: the gate rejects it
+        too_large = False
+    if too_large:
         raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
-    check_nonsingular(rows)
+    rows = checked_rows(r_bar)
+    n = len(rows)
     r = np.array(rows)
-    beta0 = float(np.max(_column_norms(r)))
+
+    def lattice_norms(vecs: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(vecs @ r.T, axis=1)
+
+    # the candidates' own norm: an axis-0 norm rounds differently at n = 8
+    beta0 = float(np.max(lattice_norms(np.eye(n, dtype=np.int64))))
 
     # per-coordinate bounds: |c_i| <= (beta0 + sum_{j>i} |r_ij| b_j) / |r_ii|
     bounds = [0] * n
@@ -247,7 +258,7 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
         if not chunk:
             return
         arr = np.array(chunk, dtype=np.int64)
-        norms = np.linalg.norm(arr @ r.T, axis=1)
+        norms = lattice_norms(arr)
         keep = norms <= beta0
         for vec, nv in zip(arr[keep], norms[keep]):
             candidates.append((float(nv), tuple(int(v) for v in vec)))
@@ -267,9 +278,8 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
     for norm, vec in candidates:
-        trial = chosen + [vec]
-        rows_t = [[col[r] for col in trial] for r in range(n)]
-        if int_rank(rows_t) == len(trial):
+        # columns taken as rows: a matrix and its transpose share their rank
+        if int_rank(chosen + [vec]) > len(chosen):
             chosen.append(vec)
             lambdas.append(norm)
             if len(chosen) == n:
@@ -287,9 +297,9 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     radius starts just above the k-th smallest identity-column norm and
     shrinks on every improving independent candidate.
     """
-    rows = _as_rows(r_bar)
+    rows = checked_rows(r_bar)
     n = len(rows)
-    ident_norms = sorted(_column_norms(rows))
+    ident_norms = sorted(_identity_norms(rows))
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
     for k in range(n):
@@ -311,12 +321,9 @@ def _min_independent(
 ) -> tuple[float, tuple[int, ...]] | None:
     """Shortest vector below `radius` independent of the fixed columns."""
     best: dict = {"norm_sq": None, "c": None}
-    n = len(rows)
 
     def on_leaf(c: list[int], norm_sq: float):
-        trial = fixed + [tuple(c)]
-        rows_t = [[col[r] for col in trial] for r in range(n)]
-        if int_rank(rows_t) < len(trial):
+        if int_rank(fixed + [tuple(c)]) == len(fixed):
             return None
         best["norm_sq"] = norm_sq
         best["c"] = tuple(c)

@@ -7,6 +7,8 @@ from conftest import random_gram
 from ifsmp import (
     PreconditionViolated,
     SingularInput,
+    baseline_smp,
+    brute_force_smp,
     cholesky,
     enumerate_below,
     int_det,
@@ -55,9 +57,11 @@ def test_delta_out_of_range():
 
 
 def test_singular_rejected():
-    # lll_reduce and every enumeration entry point share one check
+    # lll_reduce, every enumeration entry point and both references share
+    # one gate
     entry_points = [lambda r: lll_reduce(r, 0.75), svp, solve_rsmp,
-                    lambda r: enumerate_below(r, 1.0, lambda c: None)]
+                    lambda r: enumerate_below(r, 1.0, lambda c: None),
+                    baseline_smp, brute_force_smp]
     cases = [
         (np.array([[1.0, 1.0], [0.0, 1e-16]]), SingularInput),
         (np.array([[1.0, 1.0], [0.0, np.nan]]), SingularInput),

@@ -4,6 +4,7 @@ import pytest
 from ifsmp import (
     ChannelInstance,
     InvalidPower,
+    PreconditionViolated,
     SingularCoefficientMatrix,
     ZeroVector,
     cholesky,
@@ -27,8 +28,15 @@ class TestGramMatrix:
         np.testing.assert_allclose(gram_matrix(np.eye(2), 9.0), 0.1 * np.eye(2))
 
     def test_invalid_power(self):
-        with pytest.raises(InvalidPower):
-            gram_matrix(np.eye(2), 0.0)
+        for p in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidPower):
+                gram_matrix(np.eye(2), p)
+
+    def test_invalid_channel(self):
+        for h in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0]]),
+                  np.array([[1.0], [-np.inf]]), np.ones(3)):
+            with pytest.raises(PreconditionViolated):
+                gram_matrix(h, 10.0)
 
     def test_spd_and_eigen_range(self, rng):
         for _ in range(1000):
@@ -52,6 +60,18 @@ class TestFilterMatrix:
                                    0.5 * np.eye(2))
         np.testing.assert_allclose(filter_matrix(np.eye(2, dtype=int), np.eye(2), 9.0),
                                    0.9 * np.eye(2))
+
+    def test_invalid_power(self):
+        for p in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(InvalidPower):
+                filter_matrix(np.eye(2, dtype=int), np.eye(2), p)
+
+    def test_invalid_channel(self):
+        a = np.eye(2, dtype=int)
+        for h in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0]]),
+                  np.ones(3), np.ones(2)):
+            with pytest.raises(PreconditionViolated):
+                filter_matrix(a, h, 10.0)
 
 
 class TestRates:

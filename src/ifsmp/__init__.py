@@ -1,7 +1,7 @@
 """Lattice successive-minima solvers for integer-forcing MIMO receivers."""
 
 from .bench import BenchConfig, BenchRecord, db_to_linear, generate_channel, run_benchmark
-from .enumeration import enumerate_below, svp
+from .enumeration import enumerate_below
 from .errors import (
     ConfigError,
     DimensionTooLarge,
@@ -19,10 +19,9 @@ from .matrixcore import (
     cholesky,
     int_det,
     int_rank,
-    int_row_echelon,
     nearest_integer,
 )
-from .receiver import ChannelInstance, filter_matrix, gram_matrix, rate_m, total_rate
+from .receiver import filter_matrix, gram_matrix, rate_m, total_rate
 from .smp import (
     Candidate,
     SmpSolution,

@@ -1,8 +1,9 @@
 """Schnorr-Euchner sphere enumeration over an upper-triangular basis.
 
-One depth-first engine backs three callers: the SVP solver, the bounded
-enumerator `enumerate_below`, and the successive-minima solver in
-:mod:`ifsmp.smp`.  Candidates are restricted to sign-canonical vectors
+One depth-first engine, `_search`, is the only tree walk in the library:
+the bounded enumerator `enumerate_below` and every successive-minima
+solver in :mod:`ifsmp.smp` (the single pass, the baseline and the oracle)
+run on it.  Candidates are restricted to sign-canonical vectors
 (last nonzero entry positive); each nonzero vector then stands for the
 pair {c, -c}, halving the tree without losing solutions.
 
@@ -14,7 +15,6 @@ strict ``<`` comparisons: vectors at exactly the radius are excluded.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,21 +92,3 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
 
     return _search(rows, float(beta) ** 2, on_leaf)
 
-
-def svp(r_bar) -> tuple[np.ndarray, float]:
-    """Shortest nonzero lattice vector of L(r_bar).
-
-    Returns the sign-canonical coefficient vector and its norm.  Starts at
-    an effectively infinite radius; the first leaf shrinks it immediately.
-    """
-    rows = checked_rows(r_bar)
-    best: dict = {"c": None, "norm_sq": math.inf}
-
-    def on_leaf(c: list[int], norm_sq: float) -> float:
-        if norm_sq < best["norm_sq"]:
-            best["c"] = list(c)
-            best["norm_sq"] = norm_sq
-        return norm_sq
-
-    _search(rows, float(np.finfo(float).max), on_leaf)
-    return np.array(best["c"], dtype=np.int64), math.sqrt(best["norm_sq"])

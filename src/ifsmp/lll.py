@@ -32,7 +32,7 @@ DEFAULT_DELTA = 0.75
 
 @dataclass(frozen=True)
 class LllResult:
-    """Reduced factor r_bar, the unimodular transform z, and the delta used.
+    """Reduced factor r_bar and the unimodular transform z.
 
     Column k of r_bar spans the same lattice point as R @ z[:, k]:
     ``norm(r_bar[:, k]) == norm(r @ z[:, k])`` up to rounding.
@@ -40,7 +40,6 @@ class LllResult:
 
     r_bar: np.ndarray
     z: np.ndarray
-    delta: float
 
 
 def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
@@ -55,7 +54,7 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     if not 0.25 < delta <= 1.0:
         raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
     r_bar, z = _lll(r, delta)
-    return LllResult(r_bar=np.array(r_bar), z=np.array(z, dtype=np.int64), delta=delta)
+    return LllResult(r_bar=np.array(r_bar), z=np.array(z, dtype=np.int64))
 
 
 def _lll(r, delta: float) -> tuple[list[list[float]], list[list[int]]]:

@@ -10,7 +10,6 @@ which subsumes a 64->128 bit widening scheme).
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -76,7 +75,7 @@ def checked_rows(m) -> list[list[float]]:
     bound = SINGULAR_RTOL * max(diag)
     if not all(v >= bound for v in diag):
         raise SingularInput("diagonal entry below 1e-14 of the largest")
-    if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+    if not all(map(math.isfinite, sum(rows, []))):
         raise PreconditionViolated("matrix has a NaN or infinite entry")
     return rows
 
@@ -135,20 +134,9 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivot_cols, sign
 
 
-def int_row_echelon(m) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) row echelon form of an integer matrix.
-
-    Returns (echelon, pivot_cols).  pivot_cols lists, in order, the column
-    of each nonzero row's leading coefficient; column j of m is linearly
-    independent of columns 0..j-1 exactly when j is in pivot_cols.
-    """
-    rows = _to_int_rows(m)
-    return rows, _bareiss(rows)[0]
-
-
 def int_rank(m) -> int:
-    """Exact rank of an integer matrix."""
-    return len(int_row_echelon(m)[1])
+    """Exact rank of an integer matrix: its number of Bareiss pivots."""
+    return len(_bareiss(_to_int_rows(m))[0])
 
 
 def int_det(m) -> int:

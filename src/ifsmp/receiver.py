@@ -8,7 +8,6 @@ here consume coefficient ROWS, so callers pass the solver output transposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -21,17 +20,24 @@ def _covariance_solve(h, p: float, a=None) -> tuple[np.ndarray, np.ndarray]:
     """H as floats and (H H^T + I/P)^{-1} H A^T (A = I when omitted), by a
     Cholesky solve; the inverse is never formed.
 
-    Raises InvalidPower unless 0 < P < inf, and PreconditionViolated unless
-    H is a 2-D matrix of finite entries.
+    Raises InvalidPower unless 0 < P < inf and 1/P is finite, and
+    PreconditionViolated unless H is a 2-D matrix of finite entries and
+    H H^T + I/P is finite.
     """
-    if not 0 < p < math.inf:  # false on a NaN
-        raise InvalidPower(f"power must be positive and finite, got {p}")
+    # NaN fails the comparisons; 1/P is taken in Python floats, where a
+    # subnormal P overflows it to inf without a warning
+    if not 0 < p < math.inf or 1 / float(p) == math.inf:
+        raise InvalidPower(f"power must be positive, finite and not subnormal, got {p}")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or not np.isfinite(h).all():
         raise PreconditionViolated(f"expected a 2-D channel of finite entries, shape {h.shape}")
     b = h if a is None else h @ np.asarray(a, dtype=float).T
     m = h @ h.T + np.eye(h.shape[0]) / p
-    return h, cho_solve(cho_factor(m), b)
+    # m is PSD, so a finite diagonal bounds every entry and cho_factor
+    # need not scan m again
+    if not np.isfinite(m.diagonal()).all():
+        raise PreconditionViolated("H H^T + I/P overflows")
+    return h, cho_solve(cho_factor(m, check_finite=False), b)
 
 
 def gram_matrix(h, p: float) -> np.ndarray:
@@ -55,7 +61,12 @@ def rate_m(a_m, g) -> float:
     a_m = np.asarray(a_m)
     if not np.any(a_m):
         raise ZeroVector("coefficient vector must be nonzero")
-    quad = float(a_m.astype(float) @ np.asarray(g, dtype=float) @ a_m.astype(float))
+    g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise PreconditionViolated("G has a NaN or infinite entry")
+    quad = float(a_m.astype(float) @ g @ a_m.astype(float))
+    if not quad > 0:
+        raise PreconditionViolated(f"a^T G a = {quad} is not positive")
     return max(0.0, -0.5 * math.log2(quad))
 
 
@@ -67,14 +78,3 @@ def total_rate(a, g) -> float:
     n = a.shape[0]
     return n * min(rate_m(a[m], g) for m in range(n))
 
-
-@dataclass(frozen=True)
-class ChannelInstance:
-    """A channel realization with its power constraint and cached Gram matrix."""
-
-    h: np.ndarray
-    p: float
-    g: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", gram_matrix(self.h, self.p))

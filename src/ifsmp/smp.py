@@ -8,10 +8,12 @@ repairs it at every improving leaf c with the basis-update rule behind
 drop column m = max{k : y_k != 0}, or reject c when m < i.  adj(C) is kept
 up to sign as exact integers and updated by one rank-one step per accepted
 leaf, so a leaf costs O(n) per column from the last down to i, and an
-accepted one O(n^2); no leaf re-runs an elimination.  `brute_force_smp`
-(exhaustive box search + greedy independent selection) is the ground-truth
-oracle, and `baseline_smp` rebuilds the column-by-column approach of prior
-solvers; the benchmark runs all three reduced solvers through `_pipeline`.
+accepted one O(n^2); no leaf re-runs an elimination.  `brute_force_smp`,
+the ground-truth oracle, collects every leaf of one fixed-radius search on
+the same `enumeration._search` engine and selects greedily with exact
+ranks; `baseline_smp` rebuilds the column-by-column approach of prior
+solvers.  Every solver reaches the tree walk through `_search`, and the
+benchmark runs all three reduced solvers through `_pipeline`.
 
 Between Cholesky and a_star the pipeline works on Python lists: R is
 converted once, when LLL reads it, r_bar reaches the reduced solver as a
@@ -29,7 +31,6 @@ floating-point rank tests anywhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -218,66 +219,26 @@ def _int_matmul(a, b) -> np.ndarray:
 
 
 def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
-    """Ground-truth successive minima by exhaustive box enumeration.
+    """Ground-truth successive minima by one ball search and greedy selection.
 
-    Enumerates every sign-canonical nonzero c in a box guaranteed to cover
-    the ball of radius beta_0 = max_k ||r_bar e_k|| (non-strict, so the
-    identity columns themselves are candidates), sorts by norm, and
-    greedily keeps each vector that is exactly independent of those already
-    kept.  Exponential cost; guarded by ORACLE_MAX_DIM.
+    Collects every sign-canonical nonzero c with ||r_bar c|| below
+    beta_0 (1 + 1e-9), beta_0 = max_k ||r_bar e_k||, in one `_search` at a
+    fixed radius (the margin keeps the identity columns in the ball; extra
+    candidates cannot change the result), sorts them by norm, and greedily
+    keeps each vector that is exactly independent of those already kept.
+    The in-ball vectors form a matroid, so the picks attain the successive
+    minima.  Exponential cost; guarded by ORACLE_MAX_DIM.
     """
-    try:
-        too_large = len(r_bar) > ORACLE_MAX_DIM
-    except TypeError:  # not a sequence of rows: the gate rejects it
-        too_large = False
-    if too_large:
-        raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
     rows = checked_rows(r_bar)
     n = len(rows)
-    r = np.array(rows)
-
-    def lattice_norms(vecs: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(vecs @ r.T, axis=1)
-
-    # the candidates' own norm: an axis-0 norm rounds differently at n = 8
-    beta0 = float(np.max(lattice_norms(np.eye(n, dtype=np.int64))))
-
-    # per-coordinate bounds: |c_i| <= (beta0 + sum_{j>i} |r_ij| b_j) / |r_ii|
-    bounds = [0] * n
-    for i in range(n - 1, -1, -1):
-        slack = beta0 + sum(abs(r[i, j]) * bounds[j] for j in range(i + 1, n))
-        bounds[i] = int(math.floor(slack / abs(r[i, i]))) + 1
-
-    # canonical sign: walk coordinates top-down, first nonzero must be > 0
-    ranges = [range(-b, b + 1) for b in bounds]
-    ranges[n - 1] = range(0, bounds[n - 1] + 1)
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    chunk: list[tuple[int, ...]] = []
-
-    def flush() -> None:
-        if not chunk:
-            return
-        arr = np.array(chunk, dtype=np.int64)
-        norms = lattice_norms(arr)
-        keep = norms <= beta0
-        for vec, nv in zip(arr[keep], norms[keep]):
-            candidates.append((float(nv), tuple(int(v) for v in vec)))
-        chunk.clear()
-
-    for rev in itertools.product(*reversed(ranges)):
-        c = rev[::-1]
-        last_nonzero = next((v for v in reversed(c) if v != 0), 0)
-        if last_nonzero <= 0:
-            continue
-        chunk.append(c)
-        if len(chunk) >= 65536:
-            flush()
-    flush()
-
-    candidates.sort(key=lambda item: item[0])
+    if n > ORACLE_MAX_DIM:
+        raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
+    leaves: list[tuple[float, tuple[int, ...]]] = []
+    beta_sq = (max(_identity_norms(rows)) * (1 + 1e-9)) ** 2
+    _search(rows, beta_sq, lambda c, norm_sq: leaves.append((math.sqrt(norm_sq), tuple(c))))
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
-    for norm, vec in candidates:
+    for norm, vec in sorted(leaves, key=lambda leaf: leaf[0]):
         # columns taken as rows: a matrix and its transpose share their rank
         if int_rank(chosen + [vec]) > len(chosen):
             chosen.append(vec)
@@ -285,7 +246,7 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
             if len(chosen) == n:
                 break
     if len(chosen) < n:
-        raise RuntimeError("box enumeration failed to find a full basis")
+        raise RuntimeError("ball search failed to find a full basis")
     return np.array(chosen, dtype=np.int64).T, lambdas
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_reduced_basis
-from ifsmp import PreconditionViolated, enumerate_below, svp
+from ifsmp import PreconditionViolated, brute_force_smp, enumerate_below, int_rank
 
 
 def box_oracle(r_bar, beta, strict=True, canonical=True):
@@ -90,47 +90,22 @@ class TestEnumerateBelow:
         enumerate_below(r_bar, beta0, visit)
 
 
-class TestSvp:
-    def test_unit_lattice(self):
-        c, norm = svp(np.eye(3))
-        assert norm == pytest.approx(1.0)
-        assert sorted(np.abs(c)) == [0, 0, 1]
 
-    def test_against_box_oracle(self):
-        r_bar = np.array([[1.0, 0.5], [0.0, 0.9]])
-        c, norm = svp(r_bar)
-        brute = min(
-            (np.linalg.norm(r_bar @ np.array(v)), v)
-            for v in itertools.product(range(-5, 6), repeat=2)
-            if any(v)
-        )
-        assert norm == pytest.approx(brute[0], rel=1e-12)
-
-    def test_diagonal(self):
-        c, norm = svp(np.diag([2.0, 3.0]))
-        assert norm == pytest.approx(2.0)
-        assert tuple(c) == (1, 0)
-
-    def test_canonical_sign(self, rng):
-        for _ in range(40):
-            r_bar = random_reduced_basis(rng, int(rng.integers(2, 6)))
-            c, norm = svp(r_bar)
-            last = next(v for v in reversed(c.tolist()) if v != 0)
-            assert last > 0
-            assert norm == pytest.approx(float(np.linalg.norm(r_bar @ c)), rel=1e-12)
-
-    def test_norm_invariant_under_reduction(self, rng):
-        from ifsmp import lll_reduce
-
-        for _ in range(25):
-            r_bar = random_reduced_basis(rng, 4, p=1.0)
-            # a second reduction pass preserves the lattice, hence the SVP norm
-            again = lll_reduce(r_bar, 0.99)
-            _, n1 = svp(r_bar)
-            _, n2 = svp(again.r_bar)
-            assert n1 == pytest.approx(n2, rel=1e-9)
-
-    def test_1x1(self):
-        c, norm = svp(np.array([[1.7]]))
-        assert tuple(c) == (1,)
-        assert norm == pytest.approx(1.7)
+class TestBruteForceReference:
+    def test_matches_box_oracle_selection(self, rng):
+        # an oracle independent of the tree walk: the box at the same radius,
+        # sorted by numpy norm, then the same exact greedy selection
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            r_bar = random_reduced_basis(rng, n, p=float(rng.choice([1.0, 10.0, 100.0])))
+            beta = float(np.max(np.linalg.norm(r_bar, axis=0))) * (1 + 1e-9)
+            ball = sorted((float(np.linalg.norm(r_bar @ np.array(c))), c)
+                          for c in box_oracle(r_bar, beta))
+            chosen, expected = [], []
+            for norm, c in ball:
+                if int_rank(chosen + [c]) > len(chosen):
+                    chosen.append(c)
+                    expected.append(norm)
+            assert len(chosen) == n
+            _, lambdas = brute_force_smp(r_bar)
+            assert lambdas == pytest.approx(expected, rel=1e-12)

@@ -14,7 +14,6 @@ from ifsmp import (
     int_det,
     lll_reduce,
     solve_rsmp,
-    svp,
 )
 
 
@@ -59,7 +58,7 @@ def test_delta_out_of_range():
 def test_singular_rejected():
     # lll_reduce, every enumeration entry point and both references share
     # one gate
-    entry_points = [lambda r: lll_reduce(r, 0.75), svp, solve_rsmp,
+    entry_points = [lambda r: lll_reduce(r, 0.75), solve_rsmp,
                     lambda r: enumerate_below(r, 1.0, lambda c: None),
                     baseline_smp, brute_force_smp]
     cases = [

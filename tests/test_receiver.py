@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ifsmp import (
-    ChannelInstance,
     InvalidPower,
     PreconditionViolated,
     SingularCoefficientMatrix,
@@ -28,7 +27,8 @@ class TestGramMatrix:
         np.testing.assert_allclose(gram_matrix(np.eye(2), 9.0), 0.1 * np.eye(2))
 
     def test_invalid_power(self):
-        for p in (0.0, -1.0, np.nan, np.inf):
+        # 1/P overflows for a subnormal P
+        for p in (0.0, -1.0, np.nan, np.inf, 1e-320, np.float64(1e-320)):
             with pytest.raises(InvalidPower):
                 gram_matrix(np.eye(2), p)
 
@@ -37,6 +37,9 @@ class TestGramMatrix:
                   np.array([[1.0], [-np.inf]]), np.ones(3)):
             with pytest.raises(PreconditionViolated):
                 gram_matrix(h, 10.0)
+        # finite H whose H H^T overflows: numpy warns in the product itself
+        with pytest.raises(PreconditionViolated), pytest.warns(RuntimeWarning, match="overflow"):
+            gram_matrix(np.full((2, 2), 1e200), 1.0)
 
     def test_spd_and_eigen_range(self, rng):
         for _ in range(1000):
@@ -62,7 +65,7 @@ class TestFilterMatrix:
                                    0.9 * np.eye(2))
 
     def test_invalid_power(self):
-        for p in (0.0, -1.0, np.nan, np.inf):
+        for p in (0.0, -1.0, np.nan, np.inf, 1e-320, np.float64(1e-320)):
             with pytest.raises(InvalidPower):
                 filter_matrix(np.eye(2, dtype=int), np.eye(2), p)
 
@@ -72,6 +75,8 @@ class TestFilterMatrix:
                   np.ones(3), np.ones(2)):
             with pytest.raises(PreconditionViolated):
                 filter_matrix(a, h, 10.0)
+        with pytest.raises(PreconditionViolated), pytest.warns(RuntimeWarning, match="overflow"):
+            filter_matrix(a, np.full((2, 2), 1e200), 1.0)
 
 
 class TestRates:
@@ -87,6 +92,16 @@ class TestRates:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             rate_m(np.zeros(2, dtype=int), np.eye(2))
+
+    def test_invalid_gram_rejected(self):
+        # a NaN or infinite entry, or a^T G a <= 0 for the first row
+        for g in ([[np.nan, 0.0], [0.0, 0.25]], [[np.inf, 0.0], [0.0, 0.25]],
+                  [[0.25, -np.inf], [-np.inf, 0.25]], [[-1.0, 0.0], [0.0, 1.0]],
+                  [[0.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(PreconditionViolated):
+                rate_m([1, 0], g)
+            with pytest.raises(PreconditionViolated):
+                total_rate(np.eye(2, dtype=int), g)
 
     def test_total_rate(self):
         assert total_rate(np.eye(2, dtype=int), 0.25 * np.eye(2)) == pytest.approx(2.0)
@@ -129,8 +144,3 @@ class TestRates:
         assert worst == pytest.approx(sol.objective, rel=1e-9)
         assert total_rate(rows, g) == pytest.approx(sol.rate_total, rel=1e-9, abs=1e-12)
 
-
-def test_channel_instance_caches_gram(rng):
-    h = rng.standard_normal((2, 2))
-    inst = ChannelInstance(h=h, p=10.0)
-    np.testing.assert_allclose(inst.g, gram_matrix(h, 10.0))

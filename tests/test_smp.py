@@ -181,6 +181,15 @@ class TestSolveRsmp:
                 recomputed = float(np.linalg.norm(r_bar @ c_star[:, k].astype(float)))
                 assert lambdas[k] == pytest.approx(recomputed, rel=1e-12)
 
+    def test_norm_invariant_under_reduction(self, rng):
+        for _ in range(25):
+            r_bar = random_reduced_basis(rng, 4, p=1.0)
+            # a second reduction pass preserves the lattice, hence lambda_1
+            again = lll_reduce(r_bar, 0.99)
+            _, l1 = solve_rsmp(r_bar)
+            _, l2 = solve_rsmp(again.r_bar)
+            assert l1[0] == pytest.approx(l2[0], rel=1e-9)
+
 
 class TestBruteForce:
     def test_unit_lattice(self):

@@ -3,6 +3,7 @@
 from .bench import BenchConfig, BenchRecord, db_to_linear, generate_channel, run_benchmark
 from .enumeration import enumerate_below
 from .errors import (
+    CoefficientOverflow,
     ConfigError,
     DimensionTooLarge,
     IfsmpError,

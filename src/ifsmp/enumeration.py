@@ -11,6 +11,16 @@ Per level i the engine keeps the projection center d_i, the zig-zag step
 sign s_i, and the accumulated squared distance of the fixed coordinates
 above i, so one node costs O(n) operations.  Radius comparisons are raw
 strict ``<`` comparisons: vectors at exactly the radius are excluded.
+
+The radius is per subspace: the caller passes one squared radius per
+"highest nonzero coordinate" h, nondecreasing in h, and a vector whose
+last nonzero entry is c_h is a candidate only below radii[h].  The walk
+tracks ``top``, the highest nonzero index of the fixed coordinates c[k:],
+and tests a node at level k against radii[top]: every leaf below it ends
+at c_top.  `enumerate_below`, the oracle and the baseline pass a flat list,
+which is the ordinary sphere; `smp.solve_rsmp` derives tighter radii for
+the low subspaces from its basis, so it never enters a region where every
+leaf would be rejected.
 """
 
 from __future__ import annotations
@@ -25,16 +35,19 @@ from .matrixcore import checked_rows, nearest_integer
 
 def _search(
     rows: list[list[float]],
-    beta_sq: float,
-    on_leaf: Callable[[list[int], float], Optional[float]],
+    radii: list[float],
+    on_leaf: Callable[[list[int], float], Optional[list[float]]],
 ) -> int:
-    """Depth-first search of sign-canonical c with ||R c||^2 < beta_sq.
+    """Depth-first search of sign-canonical c with ||R c||^2 < radii[top(c)].
 
+    ``radii`` holds one squared radius per highest nonzero index: a vector
+    whose last nonzero coordinate is h is a candidate only below radii[h].
+    It must be nondecreasing; a flat list is the plain sphere search.
     ``on_leaf(c, norm_sq)`` is called for every nonzero leaf and may return
-    a new squared radius (taking effect immediately).  After a leaf the
-    search keeps stepping the lowest coordinate in zig-zag order, so every
-    in-radius vector is reached even when the radius just shrank.  Returns
-    the number of nonzero leaves visited.
+    a new list of squared radii (taking effect immediately).  After a leaf
+    the search keeps stepping the lowest coordinate in zig-zag order, so
+    every in-radius vector is reached even when the radii just shrank.
+    Returns the number of nonzero leaves visited.
     """
     n = len(rows)
     c = [0] * n
@@ -42,12 +55,14 @@ def _search(
     s = [1] * n
     dist = [0.0] * n  # dist[k] = sum_{j>k} r_jj^2 (c_j - d_j)^2
     visits = 0
-    k = n - 1  # d_{top} = 0 always; start at c_top = 0
+    k = n - 1  # d_{n-1} = 0 always; start at c_{n-1} = 0
+    top = -1  # highest nonzero index of c[k:]; any value below k: c[k:] == 0
     while True:
         rkk = rows[k][k]
         t = rkk * (c[k] - d[k])
         lhs = t * t
-        if lhs < beta_sq - dist[k]:
+        # while c[k:] is zero, lhs = dist[k] = 0 and any radius passes
+        if lhs < radii[top] - dist[k]:
             if k > 0:
                 dist[k - 1] = dist[k] + lhs
                 k -= 1
@@ -57,18 +72,23 @@ def _search(
                 c[k] = nearest_integer(dk)
                 s[k] = 1 if dk - c[k] >= 0 else -1
                 continue
-            if any(c):
+            if top >= 0:
                 visits += 1
-                new_beta_sq = on_leaf(c, dist[0] + lhs)
-                if new_beta_sq is not None:
-                    beta_sq = new_beta_sq
+                new_radii = on_leaf(c, dist[0] + lhs)
+                if new_radii is not None:
+                    radii = new_radii
         else:
             if k == n - 1:
                 return visits
             k += 1
-        # step the current coordinate; +1 only where canonical sign pins it
-        if k == n - 1 or not any(c[k + 1:]):
+        # step the current coordinate; +1 only where canonical sign pins it,
+        # that is where c[k+1:] is zero, and then top becomes k.  Siblings
+        # share top, except the first one under a zero c[k+1:]: c_k = 0 has
+        # lhs = 0 there and always passes, so the zig-zag exit on the first
+        # failing sibling stays exact.
+        if top <= k:
             c[k] += 1
+            top = k
         else:
             sk = s[k]
             c[k] += sk
@@ -85,10 +105,11 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
     if not beta > 0:
         raise PreconditionViolated("beta must be positive")
     rows = checked_rows(r_bar)
+    n = len(rows)
 
-    def on_leaf(c: list[int], norm_sq: float) -> Optional[float]:
+    def on_leaf(c: list[int], norm_sq: float) -> Optional[list[float]]:
         new_beta = visit(np.array(c, dtype=np.int64))
-        return None if new_beta is None else float(new_beta) ** 2
+        return None if new_beta is None else [float(new_beta) ** 2] * n
 
-    return _search(rows, float(beta) ** 2, on_leaf)
+    return _search(rows, [float(beta) ** 2] * n, on_leaf)
 

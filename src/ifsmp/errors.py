@@ -37,5 +37,9 @@ class SingularCoefficientMatrix(IfsmpError):
     """Integer coefficient matrix has zero determinant."""
 
 
+class CoefficientOverflow(IfsmpError, OverflowError):
+    """An exact integer result does not fit the int64 array it is returned in."""
+
+
 class ConfigError(IfsmpError):
     """Benchmark configuration violates its invariants."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated
-from .matrixcore import checked_rows, nearest_integer
+from .matrixcore import _int64, checked_rows, nearest_integer
 
 DEFAULT_DELTA = 0.75
 
@@ -48,13 +48,13 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     Output satisfies |r_ik| <= |r_ii|/2 for i < k and the Lovasz condition
     delta*r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_kk^2.  delta = 1 is accepted but
     may take superpolynomially many swaps.  z is int64; converting it
-    raises OverflowError if an entry does not fit.  Checks delta first, then
-    the input (`checked_rows`).
+    raises CoefficientOverflow (an OverflowError) if an entry does not fit.
+    Checks delta first, then the input (`checked_rows`).
     """
     if not 0.25 < delta <= 1.0:
         raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
     r_bar, z = _lll(r, delta)
-    return LllResult(r_bar=np.array(r_bar), z=np.array(z, dtype=np.int64))
+    return LllResult(r_bar=np.array(r_bar), z=_int64(z))
 
 
 def _lll(r, delta: float) -> tuple[list[list[float]], list[list[int]]]:

@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NotSymmetric, PreconditionViolated, SingularInput
+from .errors import (
+    CoefficientOverflow,
+    NotPositiveDefinite,
+    NotSymmetric,
+    PreconditionViolated,
+    SingularInput,
+)
 
 SYMMETRY_RTOL = 1e-12
 SINGULAR_RTOL = 1e-14
@@ -101,6 +107,16 @@ def _to_int_rows(m) -> list[list[int]]:
     if a.ndim != 2 or not a.size:
         raise PreconditionViolated(f"expected a nonempty 2-D matrix, got shape {a.shape}")
     return [[int(v) for v in row] for row in a]
+
+
+def _int64(rows: list[list[int]]) -> np.ndarray:
+    """Exact integer rows as an int64 ndarray; raises CoefficientOverflow
+    (an OverflowError) when an entry does not fit."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        bits = max(abs(v) for row in rows for v in row).bit_length()
+        raise CoefficientOverflow(f"an integer entry of {bits} bits does not fit int64") from exc
 
 
 def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:

@@ -8,7 +8,13 @@ repairs it at every improving leaf c with the basis-update rule behind
 drop column m = max{k : y_k != 0}, or reject c when m < i.  adj(C) is kept
 up to sign as exact integers and updated by one rank-one step per accepted
 leaf, so a leaf costs O(n) per column from the last down to i, and an
-accepted one O(n^2); no leaf re-runs an elimination.  `brute_force_smp`,
+accepted one O(n^2); no leaf re-runs an elimination.  The walk never
+reaches most of the leaves the rule would reject: `_subspace_radii` reads
+off adj(C) which basis columns a vector supported on c_0..c_h can replace,
+and gives that subspace the norm of the last of them as its radius.  A
+leaf beyond it would be inserted after every column it could replace, so
+it is always a rejected one, and skipping it leaves every output bit for
+bit as a flat radius gives it.  `brute_force_smp`,
 the ground-truth oracle, collects every leaf of one fixed-radius search on
 the same `enumeration._search` engine and selects greedily with exact
 ranks; `baseline_smp` rebuilds the column-by-column approach of prior
@@ -40,7 +46,7 @@ import numpy as np
 from .enumeration import _search
 from .errors import DimensionTooLarge, PreconditionViolated, SingularCoefficientMatrix
 from .lll import DEFAULT_DELTA, _lll
-from .matrixcore import checked_rows, cholesky, int_det, int_rank
+from .matrixcore import _int64, checked_rows, cholesky, int_det, int_rank
 
 ORACLE_MAX_DIM = 8  # largest dimension brute_force_smp accepts
 
@@ -145,14 +151,60 @@ def _identity_norms(rows: list[list[float]]) -> list[float]:
     return [math.hypot(*(rows[i][k] for i in range(k + 1))) for k in range(len(rows))]
 
 
+# Relative pad on a subspace radius: far above the few ulps by which the
+# walk's float partial distances can differ from a leaf's float norm; a
+# larger radius only visits more leaves.
+_RADIUS_PAD = 1 + 2.0**-30
+
+
+def _subspace_radii(norms: list[float], adj: list[list[int]]) -> list[float]:
+    """Squared search radius per highest nonzero coordinate h, for the
+    sorted basis of `_exchange` (row m of adj belongs to column m).
+
+    With first[m] the lowest index r where adj[m][r] != 0 and
+    j_h = 1 + max{m : first[m] <= h}, a leaf c supported on c_0..c_h has
+    y_m = adj[m].c = 0 for every m >= j_h, so the column it would replace
+    lies before j_h; if its norm is >= norms[j_h - 1] its insertion point is
+    >= j_h and `_exchange` rejects it.  radii[h] is therefore
+    norms[j_h - 1]^2, padded by `_RADIUS_PAD` so that a leaf the walk prunes
+    has a float norm strictly above norms[j_h - 1], and capped at the
+    ordinary radius norms[-1]^2 (used exactly when j_h = n).  Nondecreasing
+    in h, as `_search` requires."""
+    n = len(norms)
+    last = [-1] * n  # last[r]: largest m whose adj row starts at index r
+    for m, row in enumerate(adj):
+        first = 0
+        while not row[first]:
+            first += 1
+        last[first] = m
+    cap = norms[-1] ** 2
+    radii = []
+    j = -1  # j_h - 1
+    for h in range(n):
+        j = max(j, last[h])
+        radii.append(cap if j == n - 1 else min(norms[j] ** 2 * _RADIUS_PAD, cap))
+    return radii
+
+
 def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Successive minima of L(r_bar) in a single enumeration pass.
 
     Starts from the sorted permuted identity, visits sign-canonical vectors
-    inside the shrinking radius (the largest current basis norm), and
-    repairs the basis with the `update_basis` rule at every nonzero leaf.
-    Returns the invertible coefficient matrix (columns are the minima
-    vectors) and the nondecreasing norms.
+    inside the shrinking radii, and repairs the basis with the
+    `update_basis` rule at every nonzero leaf.  Returns the invertible
+    coefficient matrix (columns are the minima vectors) and the
+    nondecreasing norms.
+
+    The radius of a leaf depends on its highest nonzero coordinate h
+    (`_subspace_radii`): the largest current basis norm for the top
+    subspace, and for a lower one the norm of the last basis column whose
+    adj row reaches into c_0..c_h.  Every leaf outside its radius is one
+    the rule would reject, because its y = adj(C) c is zero from that
+    column on while its insertion point lies past it.  Skipping such leaves
+    changes no accept, no accept order and no radius update, so the result
+    is the one a flat radius norms[-1]^2 gives, bit for bit; on
+    rank-deficient channels, where almost every leaf lies in the span of
+    shorter columns, it removes most of the walk.
     """
     rows = checked_rows(r_bar)
     n = len(rows)
@@ -164,7 +216,7 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     adj = [list(col) for col in cols]  # C^-1 = C^T for a permutation
     d = 1
 
-    def on_leaf(c: list[int], norm_sq: float) -> float | None:
+    def on_leaf(c: list[int], norm_sq: float) -> list[float] | None:
         nonlocal d
         norm = math.sqrt(norm_sq)
         if not norm < norms[-1]:  # sqrt rounding at the radius
@@ -173,9 +225,9 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
         if new_d is None:
             return None
         d = new_d
-        return norms[-1] ** 2
+        return _subspace_radii(norms, adj)
 
-    _search(rows, norms[-1] ** 2, on_leaf)
+    _search(rows, _subspace_radii(norms, adj), on_leaf)
     return np.array(cols, dtype=np.int64).T, norms
 
 
@@ -212,10 +264,10 @@ def _pipeline(g, reduced_solver) -> tuple[np.ndarray, list[float]]:
 
 def _int_matmul(a, b) -> np.ndarray:
     """Exact product of integer matrices (ndarrays or lists of rows) in
-    Python ints; the int64 result conversion raises on overflow."""
+    Python ints; the int64 result conversion raises CoefficientOverflow."""
     a_rows, b_rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in (a, b))
     b_cols = list(zip(*b_rows))
-    return np.array([[sum(map(mul, row, col)) for col in b_cols] for row in a_rows], dtype=np.int64)
+    return _int64([[sum(map(mul, row, col)) for col in b_cols] for row in a_rows])
 
 
 def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
@@ -235,7 +287,7 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
         raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
     leaves: list[tuple[float, tuple[int, ...]]] = []
     beta_sq = (max(_identity_norms(rows)) * (1 + 1e-9)) ** 2
-    _search(rows, beta_sq, lambda c, norm_sq: leaves.append((math.sqrt(norm_sq), tuple(c))))
+    _search(rows, [beta_sq] * n, lambda c, norm_sq: leaves.append((math.sqrt(norm_sq), tuple(c))))
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
     for norm, vec in sorted(leaves, key=lambda leaf: leaf[0]):
@@ -282,15 +334,16 @@ def _min_independent(
 ) -> tuple[float, tuple[int, ...]] | None:
     """Shortest vector below `radius` independent of the fixed columns."""
     best: dict = {"norm_sq": None, "c": None}
+    n = len(rows)
 
     def on_leaf(c: list[int], norm_sq: float):
         if int_rank(fixed + [tuple(c)]) == len(fixed):
             return None
         best["norm_sq"] = norm_sq
         best["c"] = tuple(c)
-        return norm_sq
+        return [norm_sq] * n
 
-    _search(rows, radius * radius, on_leaf)
+    _search(rows, [radius * radius] * n, on_leaf)
     if best["c"] is None:
         return None
     return math.sqrt(best["norm_sq"]), best["c"]

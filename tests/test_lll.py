@@ -5,6 +5,8 @@ import pytest
 
 from conftest import random_gram
 from ifsmp import (
+    CoefficientOverflow,
+    IfsmpError,
     PreconditionViolated,
     SingularInput,
     baseline_smp,
@@ -112,3 +114,13 @@ def test_delta_one_accepted(rng):
     r = cholesky(random_gram(rng, 4))
     res = lll_reduce(r, 1.0)
     assert_reduced(res.r_bar, 1.0)
+
+
+def test_int64_overflow_is_typed():
+    # a condition number near 1e14 drives |z| to about 3.3e19 > 2^63
+    r = np.triu(np.random.default_rng(0).standard_normal((4, 4)))
+    r[np.diag_indices(4)] = np.logspace(0, -13.9, 4)
+    with pytest.raises(CoefficientOverflow) as info:
+        lll_reduce(r)
+    assert isinstance(info.value, IfsmpError)
+    assert isinstance(info.value, OverflowError)

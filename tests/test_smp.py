@@ -6,6 +6,7 @@ import pytest
 from conftest import random_gram, random_reduced_basis
 from ifsmp import (
     Candidate,
+    CoefficientOverflow,
     DimensionTooLarge,
     PreconditionViolated,
     SingularCoefficientMatrix,
@@ -20,8 +21,18 @@ from ifsmp import (
     solve_smp,
     update_basis,
 )
+from ifsmp import smp
 from ifsmp.bench import REDUCED_SOLVERS
-from ifsmp.smp import _adjugate, _exchange, _int_matmul, _pipeline
+from ifsmp.enumeration import _search
+from ifsmp.matrixcore import checked_rows
+from ifsmp.smp import (
+    _adjugate,
+    _exchange,
+    _identity_norms,
+    _int_matmul,
+    _pipeline,
+    _subspace_radii,
+)
 
 
 def largest_removable(cols, norms, cand, cand_norm):
@@ -37,6 +48,53 @@ def largest_removable(cols, norms, cand, cand_norm):
         if int_det(np.array(trimmed).T) != 0:
             return trimmed, [v for idx, v in enumerate(tilde_norms) if idx != j]
     raise AssertionError("no removable column")
+
+
+def flat_radius_rsmp(r_bar):
+    """`solve_rsmp` with one flat radius: `_search` at [norms[-1]^2] * n,
+    reset on every accept, plus the `_exchange` rule."""
+    rows = checked_rows(r_bar)
+    n = len(rows)
+    col_norms = _identity_norms(rows)
+    order = sorted(range(n), key=lambda k: col_norms[k])
+    cols = [tuple(int(r == k) for r in range(n)) for k in order]
+    norms = [col_norms[k] for k in order]
+    adj = [list(col) for col in cols]
+    scale = [1]
+
+    def on_leaf(c, norm_sq):
+        norm = math.sqrt(norm_sq)
+        if not norm < norms[-1]:
+            return None
+        new_d = _exchange(cols, norms, adj, scale[0], c, norm)
+        if new_d is None:
+            return None
+        scale[0] = new_d
+        return [norms[-1] ** 2] * n
+
+    _search(rows, [norms[-1] ** 2] * n, on_leaf)
+    return np.array(cols, dtype=np.int64).T, norms
+
+
+def count_leaves(monkeypatch):
+    """Wrap the solvers' `_search` so that every leaf it visits is counted."""
+    leaves = [0]
+
+    def counting(rows, radii, on_leaf):
+        def counted(c, norm_sq):
+            leaves[0] += 1
+            return on_leaf(c, norm_sq)
+
+        return _search(rows, radii, counted)
+
+    monkeypatch.setattr(smp, "_search", counting)
+    return leaves
+
+
+def duplicated_column(rng, nt):
+    h = rng.standard_normal((nt, nt))
+    h[:, 1] = h[:, 0]
+    return h
 
 
 def basis_of(r_bar, cols):
@@ -318,3 +376,69 @@ class TestSolveSmp:
                 a, lam = _pipeline(g, solver)
                 assert lam == pytest.approx(lambdas, rel=1e-9), name
                 assert int_det(a) != 0, name
+
+
+class TestSubspaceRadii:
+    def test_permuted_identity(self):
+        # columns e_2, e_0, e_1: vectors on c_0 alone are multiples of
+        # column 1, so they must beat norms[1]; anything reaching c_1 may
+        # replace the last column
+        radii = _subspace_radii([1.0, 2.0, 3.0], [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+        assert radii == [4.0 * (1 + 2.0**-30), 9.0, 9.0]
+
+    def test_cap_at_the_largest_norm(self):
+        radii = _subspace_radii([1.0, 1.0], [[1, 0], [0, 1]])
+        assert radii == [1.0, 1.0]
+
+    def test_matches_flat_radius(self, rng):
+        # the subspace radii skip only leaves the basis-update rule rejects,
+        # so accepts, their order and the outputs stay bit-identical
+        grams = [gram_matrix(rng.standard_normal((nt, nt)), 10.0 ** (p_db / 10.0))
+                 for nt in range(2, 9) for p_db in (0.0, 10.0, 20.0) for _ in range(2)]
+        for nt, top_db in ((3, 40.0), (4, 30.0), (5, 20.0)):
+            for p_db in (12.0, 20.0, 30.0, 40.0):
+                if p_db <= top_db:
+                    h = duplicated_column(rng, nt)
+                    grams.append(gram_matrix(h, 10.0 ** (p_db / 10.0)))
+        for nt in range(3, 7):
+            for p_db in (12.0, 20.0, 30.0, 40.0):
+                h = rng.standard_normal((nt, nt - 2)) @ rng.standard_normal((nt - 2, nt))
+                grams.append(gram_matrix(h, 10.0 ** (p_db / 10.0)))
+        # small-integer Gram matrices, full of equal-norm ties
+        grams += [np.eye(4), 2.0 * np.eye(3),
+                  np.array([[2.0, -1.0], [-1.0, 2.0]]),
+                  np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]),
+                  np.array([[2.0, -1.0, 0.0, 0.0], [-1.0, 2.0, -1.0, -1.0],
+                            [0.0, -1.0, 2.0, 0.0], [0.0, -1.0, 0.0, 2.0]])]
+        while len(grams) < 120:
+            n = int(rng.integers(2, 7))
+            b = rng.integers(-2, 3, size=(n, n))
+            if int_det(b) != 0:
+                grams.append((b.T @ b).astype(float))
+        for g in grams:
+            sol = solve_smp(g)
+            a_star, lambdas = _pipeline(g, flat_radius_rsmp)
+            assert (a_star.dtype, a_star.shape) == (sol.a_star.dtype, sol.a_star.shape)
+            assert a_star.tobytes() == sol.a_star.tobytes()
+            assert [x.hex() for x in lambdas] == [x.hex() for x in sol.lambdas]
+
+    def test_duplicated_column_leaves_bounded(self, rng, monkeypatch):
+        # with a flat radius a 4x4 channel visited 2.4e6 leaves at 40 dB
+        # (about 31.6x more per 10 dB); over 1,200 channels at the sizes and
+        # powers below (100 of each) the worst solve visited 38.  The oracle
+        # check of such channels at 12 and 20 dB is TestSolveSmp's
+        # rank-deficient test.
+        leaves = count_leaves(monkeypatch)
+        for nt in (4, 6, 8):
+            for p_db in (20.0, 30.0, 40.0, 60.0):
+                for _ in range(3):
+                    before = leaves[0]
+                    sol = solve_smp(gram_matrix(duplicated_column(rng, nt), 10.0 ** (p_db / 10.0)))
+                    assert leaves[0] - before <= 100
+                    assert int_det(sol.a_star) != 0
+
+
+def test_int64_overflow_is_typed():
+    with pytest.raises(CoefficientOverflow):
+        _int_matmul([[2**40]], [[2**40]])
+    assert _int_matmul([[2**31]], [[2**31]]).tolist() == [[2**62]]

@@ -50,8 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--algs", default="new,baseline",
                         help="subset of new,baseline,oracle")
-    parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--out", default=None, help="output path; *.json gets JSON, else CSV")
     return parser
 
 
@@ -82,10 +81,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is not None:
         try:
-            if args.format == "csv":
-                write_csv(records, args.out)
-            else:
+            if args.out.endswith(".json"):
                 write_json(records, summary, args.out)
+            else:
+                write_csv(records, args.out)
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO

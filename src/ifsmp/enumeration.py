@@ -9,8 +9,11 @@ pair {c, -c}, halving the tree without losing solutions.
 
 Per level i the engine keeps the projection center d_i, the zig-zag step
 sign s_i, and the accumulated squared distance of the fixed coordinates
-above i, so one node costs O(n) operations.  Radius comparisons are raw
-strict ``<`` comparisons: vectors at exactly the radius are excluded.
+above i, so one node costs O(n) operations.  The first child is
+``round(d_i)``; at a half-way tie both neighbours lie 1/2 away, so the
+zig-zag still visits siblings in nondecreasing distance under any tie
+rule.  Radius comparisons are raw strict ``<`` comparisons: vectors at
+exactly the radius are excluded.
 
 The radius is per subspace: the caller passes one squared radius per
 "highest nonzero coordinate" h, nondecreasing in h, and a vector whose
@@ -30,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import PreconditionViolated
-from .matrixcore import checked_rows, nearest_integer
+from .matrixcore import checked_rows
 
 
 def _search(
@@ -69,7 +72,7 @@ def _search(
                 row = rows[k]
                 dk = -sum(row[j] * c[j] for j in range(k + 1, n)) / row[k]
                 d[k] = dk
-                c[k] = nearest_integer(dk)
+                c[k] = round(dk)
                 s[k] = 1 if dk - c[k] >= 0 else -1
                 continue
             if top >= 0:

@@ -5,6 +5,8 @@ column operation, a Lovasz swap is followed by a 2x2 Givens rotation that
 restores upper-triangularity, and all column operations are mirrored on an
 integer unimodular matrix Z so that ``r_bar = Q^T R Z`` for some orthogonal
 Q (never materialized).  Diagonal entries are kept positive throughout.
+Size reduction rounds with the builtin ``round`` (halves to even): any
+nearest integer gives |r_ik| <= r_ii / 2, whatever the tie rule.
 The input passes the same gate, `matrixcore.checked_rows`, as every
 enumeration entry point.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated
-from .matrixcore import _int64, checked_rows, nearest_integer
+from .matrixcore import _int64, checked_rows
 
 DEFAULT_DELTA = 0.75
 
@@ -78,7 +80,7 @@ def _lll(r, delta: float) -> tuple[list[list[float]], list[list[int]]]:
         if sweeps > max_sweeps:
             raise RuntimeError("LLL iteration cap exceeded")
         col, prev = cols[k], cols[k - 1]
-        mu = nearest_integer(col[k - 1] / prev[k - 1])
+        mu = round(col[k - 1] / prev[k - 1])
         if mu:
             col[:k] = [x - mu * y for x, y in zip(col[:k], prev)]
             z[k] = [x - mu * y for x, y in zip(z[k], z[k - 1])]
@@ -100,7 +102,7 @@ def _lll(r, delta: float) -> tuple[list[list[float]], list[list[int]]]:
             k = max(k - 1, 1)
         else:
             for i in range(k - 2, -1, -1):
-                mu = nearest_integer(col[i] / cols[i][i])
+                mu = round(col[i] / cols[i][i])
                 if mu:
                     col[: i + 1] = [x - mu * y for x, y in zip(col[: i + 1], cols[i])]
                     z[k] = [x - mu * y for x, y in zip(z[k], z[i])]

@@ -86,22 +86,6 @@ def checked_rows(m) -> list[list[float]]:
     return rows
 
 
-def nearest_integer(x: float) -> int:
-    """Round to the nearest integer; a half-way tie goes to the candidate of
-    smaller magnitude (0.5 -> 0, -0.5 -> 0, 1.5 -> 1).
-
-    Note this differs from both round-half-even and round-half-up.
-    """
-    f = math.floor(x)
-    frac = x - f
-    if frac < 0.5:
-        return f
-    if frac > 0.5:
-        return f + 1
-    # tie: f and f+1 straddle zero or share a sign; pick the smaller |.|
-    return f if f >= 0 else f + 1
-
-
 def _to_int_rows(m) -> list[list[int]]:
     a = np.asarray(m)
     if a.ndim != 2 or not a.size:

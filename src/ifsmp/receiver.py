@@ -12,17 +12,24 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import InvalidPower, PreconditionViolated, SingularCoefficientMatrix, ZeroVector
+from .errors import (
+    InvalidPower,
+    NotPositiveDefinite,
+    PreconditionViolated,
+    SingularCoefficientMatrix,
+    ZeroVector,
+)
 from .matrixcore import int_det
 
 
-def _covariance_solve(h, p: float, a=None) -> tuple[np.ndarray, np.ndarray]:
-    """H as floats and (H H^T + I/P)^{-1} H A^T (A = I when omitted), by a
-    Cholesky solve; the inverse is never formed.
+def _covariance_solve(h, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """H as floats and X = (H H^T + I/P)^{-1} H, by a Cholesky solve; the
+    inverse is never formed.
 
-    Raises InvalidPower unless 0 < P < inf and 1/P is finite, and
+    Raises InvalidPower unless 0 < P < inf and 1/P is finite,
     PreconditionViolated unless H is a 2-D matrix of finite entries and
-    H H^T + I/P is finite.
+    H H^T + I/P is finite, and NotPositiveDefinite when H H^T + I/P is
+    numerically singular.
     """
     # NaN fails the comparisons; 1/P is taken in Python floats, where a
     # subnormal P overflows it to inf without a warning
@@ -31,13 +38,16 @@ def _covariance_solve(h, p: float, a=None) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or not np.isfinite(h).all():
         raise PreconditionViolated(f"expected a 2-D channel of finite entries, shape {h.shape}")
-    b = h if a is None else h @ np.asarray(a, dtype=float).T
     m = h @ h.T + np.eye(h.shape[0]) / p
     # m is PSD, so a finite diagonal bounds every entry and cho_factor
     # need not scan m again
     if not np.isfinite(m.diagonal()).all():
         raise PreconditionViolated("H H^T + I/P overflows")
-    return h, cho_solve(cho_factor(m, check_finite=False), b)
+    try:
+        factor = cho_factor(m, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("H H^T + I/P is numerically singular") from exc
+    return h, cho_solve(factor, h, check_finite=False)
 
 
 def gram_matrix(h, p: float) -> np.ndarray:
@@ -52,8 +62,14 @@ def gram_matrix(h, p: float) -> np.ndarray:
 
 
 def filter_matrix(a, h, p: float) -> np.ndarray:
-    """MMSE filter B with rows b_m^T = a_m^T H^T (H H^T + I/P)^{-1}."""
-    return _covariance_solve(h, p, a)[1].T
+    """MMSE filter B = A X^T, rows b_m^T = a_m^T H^T (H H^T + I/P)^{-1}, with
+    the X of `gram_matrix`; after the checks on P and H, raises
+    PreconditionViolated unless A is 2-D, finite and as wide as H."""
+    h, x = _covariance_solve(h, p)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != h.shape[1] or not np.isfinite(a).all():
+        raise PreconditionViolated(f"expected a finite 2-D A as wide as H, shape {a.shape}")
+    return a @ x.T
 
 
 def rate_m(a_m, g) -> float:

@@ -151,9 +151,9 @@ def _identity_norms(rows: list[list[float]]) -> list[float]:
     return [math.hypot(*(rows[i][k] for i in range(k + 1))) for k in range(len(rows))]
 
 
-# Relative pad on a subspace radius: far above the few ulps by which the
-# walk's float partial distances can differ from a leaf's float norm; a
-# larger radius only visits more leaves.
+# The one relative pad on every squared radius derived from a float norm:
+# far above the few ulps by which the walk's partial distances can differ
+# from that norm; a larger radius only visits more leaves.
 _RADIUS_PAD = 1 + 2.0**-30
 
 
@@ -273,9 +273,9 @@ def _int_matmul(a, b) -> np.ndarray:
 def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Ground-truth successive minima by one ball search and greedy selection.
 
-    Collects every sign-canonical nonzero c with ||r_bar c|| below
-    beta_0 (1 + 1e-9), beta_0 = max_k ||r_bar e_k||, in one `_search` at a
-    fixed radius (the margin keeps the identity columns in the ball; extra
+    Collects every sign-canonical nonzero c with ||r_bar c||^2 below
+    beta_0^2 `_RADIUS_PAD`, beta_0 = max_k ||r_bar e_k||, in one `_search`
+    at a fixed radius (the pad keeps the identity columns in the ball; extra
     candidates cannot change the result), sorts them by norm, and greedily
     keeps each vector that is exactly independent of those already kept.
     The in-ball vectors form a matroid, so the picks attain the successive
@@ -286,7 +286,7 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     if n > ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
     leaves: list[tuple[float, tuple[int, ...]]] = []
-    beta_sq = (max(_identity_norms(rows)) * (1 + 1e-9)) ** 2
+    beta_sq = max(_identity_norms(rows)) ** 2 * _RADIUS_PAD
     _search(rows, [beta_sq] * n, lambda c, norm_sq: leaves.append((math.sqrt(norm_sq), tuple(c))))
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
@@ -307,8 +307,8 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
 
     Column k is the shortest sign-canonical vector exactly independent of
     the previously fixed columns, found by a bounded enumeration whose
-    radius starts just above the k-th smallest identity-column norm and
-    shrinks on every improving independent candidate.
+    squared radius starts at the k-th smallest identity-column norm squared
+    times `_RADIUS_PAD` and shrinks on every improving independent one.
     """
     rows = checked_rows(r_bar)
     n = len(rows)
@@ -316,11 +316,11 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
     for k in range(n):
-        radius = ident_norms[k] * (1 + 1e-12) + 1e-12
-        found = _min_independent(rows, radius, chosen)
+        radius_sq = ident_norms[k] ** 2 * _RADIUS_PAD
+        found = _min_independent(rows, radius_sq, chosen)
         while found is None:  # unreachable in theory; guard against fp edge
-            radius *= 1.5
-            found = _min_independent(rows, radius, chosen)
+            radius_sq *= 2.25
+            found = _min_independent(rows, radius_sq, chosen)
         norm, vec = found
         chosen.append(vec)
         lambdas.append(norm)
@@ -329,10 +329,10 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
 
 def _min_independent(
     rows: list[list[float]],
-    radius: float,
+    radius_sq: float,
     fixed: list[tuple[int, ...]],
 ) -> tuple[float, tuple[int, ...]] | None:
-    """Shortest vector below `radius` independent of the fixed columns."""
+    """Shortest vector of squared norm < `radius_sq` independent of `fixed`."""
     best: dict = {"norm_sq": None, "c": None}
     n = len(rows)
 
@@ -343,7 +343,7 @@ def _min_independent(
         best["c"] = tuple(c)
         return [norm_sq] * n
 
-    _search(rows, [radius * radius] * n, on_leaf)
+    _search(rows, [radius_sq] * n, on_leaf)
     if best["c"] is None:
         return None
     return math.sqrt(best["norm_sq"]), best["c"]

@@ -123,6 +123,15 @@ class TestCli:
         assert len(lines) == 1 + 2 * 2 * 2  # header + algs * p-values * trials
         assert "mean rate" in capsys.readouterr().out
 
+    def test_json_suffix_writes_json(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        code = cli_main(["--nt", "2", "--pdb", "2", "--trials", "2",
+                         "--seed", "3", "--algs", "new", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["records"]) == 2
+        assert [row["algorithm"] for row in payload["summary"]] == ["new"]
+
     def test_pdb_grid_parsing(self):
         from ifsmp.cli import _parse_grid
 

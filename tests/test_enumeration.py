@@ -66,6 +66,17 @@ class TestEnumerateBelow:
             seen, _ = collect(r_bar, beta)
             assert set(seen) == box_oracle(r_bar, beta)
 
+    def test_exact_half_centres_match_box_oracle(self, rng):
+        # integer r with diagonal 2 puts many centres exactly half-way
+        # between two integers; every squared norm is an integer, so a
+        # radius sqrt(m + 1/2) keeps every vector off the boundary
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            r_bar = np.triu(rng.integers(-1, 2, (n, n)), 1) + 2 * np.eye(n)
+            beta = math.sqrt(int(rng.integers(4, 20)) + 0.5)
+            seen, _ = collect(r_bar, beta)
+            assert set(seen) == box_oracle(r_bar, beta)
+
     def test_half_of_unsigned_count(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 5))

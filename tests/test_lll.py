@@ -50,6 +50,14 @@ def test_hand_traced_2x2():
     assert np.linalg.norm(res.r_bar[:, 0]) <= np.hypot(0.75, 0.5) + 1e-12
 
 
+def test_exact_half_size_reduction():
+    # r_01 / r_00 = 1.5: round gives mu = 2 and the reduced entry -1 sits
+    # exactly at the bound |r_01| <= r_00 / 2; no swap, as 0.75 * 4 < 1 + 25
+    res = lll_reduce(np.array([[2.0, 3.0], [0.0, 5.0]]), 0.75)
+    assert res.r_bar.tolist() == [[2.0, -1.0], [0.0, 5.0]]
+    assert res.z.tolist() == [[1, -2], [0, 1]]
+
+
 def test_delta_out_of_range():
     with pytest.raises(PreconditionViolated):
         lll_reduce(np.eye(2), 0.25)
@@ -85,10 +93,16 @@ def test_singular_rejected():
 
 
 def test_random_corpus_invariants(rng):
-    for trial in range(200):
-        n = int(rng.integers(2, 9))
-        p = float(rng.choice([1.0, 10.0, 100.0]))
-        r = cholesky(random_gram(rng, n, p))
+    inputs = [cholesky(random_gram(rng, int(rng.integers(2, 9)),
+                                   float(rng.choice([1.0, 10.0, 100.0]))))
+              for _ in range(200)]
+    # exact half-way ratios at both size-reduction sites, of either sign
+    inputs += [np.array(r) for r in (
+        [[2.0, -3.0], [0.0, 5.0]], [[2.0, 1.0], [0.0, 3.0]],
+        [[2.0, 1.0, 3.0], [0.0, 2.0, -5.0], [0.0, 0.0, 4.0]],
+        [[2.0, -1.0, 1.0, 3.0], [0.0, 2.0, 1.0, -1.0], [0.0, 0.0, 2.0, 5.0], [0.0, 0.0, 0.0, 2.0]],
+    )]
+    for r in inputs:
         res = lll_reduce(r, 0.75)
         assert_reduced(res.r_bar, 0.75)
         assert abs(int_det(res.z)) == 1

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from ifsmp import (
     NotPositiveDefinite,
@@ -12,7 +11,6 @@ from ifsmp import (
     cholesky,
     int_det,
     int_rank,
-    nearest_integer,
 )
 
 
@@ -72,28 +70,6 @@ class TestCholesky:
             err = np.linalg.norm(r.T @ r - g) / np.linalg.norm(g)
             assert err < 1e-10
             assert np.all(np.diag(r) > 0)
-
-
-class TestRounding:
-    def test_half_ties_to_smaller_magnitude(self):
-        assert nearest_integer(0.5) == 0
-        assert nearest_integer(-0.5) == 0
-        assert nearest_integer(1.5) == 1
-        assert nearest_integer(-1.5) == -1
-
-    def test_plain_rounding(self):
-        assert nearest_integer(1.3) == 1
-        assert nearest_integer(-2.7) == -3
-        assert nearest_integer(2.0) == 2
-
-    @given(st.floats(min_value=-1e9, max_value=1e9))
-    def test_odd_symmetry(self, x):
-        assert nearest_integer(-x) == -nearest_integer(x)
-
-    @given(st.floats(min_value=-1e9, max_value=1e9))
-    def test_nearest(self, x):
-        z = nearest_integer(x)
-        assert abs(x - z) <= 0.5
 
 
 class TestIntEchelon:

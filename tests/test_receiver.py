@@ -3,6 +3,7 @@ import pytest
 
 from ifsmp import (
     InvalidPower,
+    NotPositiveDefinite,
     PreconditionViolated,
     SingularCoefficientMatrix,
     ZeroVector,
@@ -40,6 +41,10 @@ class TestGramMatrix:
         # finite H whose H H^T overflows: numpy warns in the product itself
         with pytest.raises(PreconditionViolated), pytest.warns(RuntimeWarning, match="overflow"):
             gram_matrix(np.full((2, 2), 1e200), 1.0)
+        # finite H H^T + I/P that is singular in floating point
+        for h, p in ((np.ones((3, 3)), 1e20), (np.ones((4, 4)), 1e16)):
+            with pytest.raises(NotPositiveDefinite):
+                gram_matrix(h, p)
 
     def test_spd_and_eigen_range(self, rng):
         for _ in range(1000):
@@ -77,6 +82,15 @@ class TestFilterMatrix:
                 filter_matrix(a, h, 10.0)
         with pytest.raises(PreconditionViolated), pytest.warns(RuntimeWarning, match="overflow"):
             filter_matrix(a, np.full((2, 2), 1e200), 1.0)
+
+    def test_invalid_coefficients(self):
+        # A must be 2-D, finite and as wide as H (2 x 3 here)
+        h = np.arange(6.0).reshape(2, 3)
+        for a in (np.array([[1.0, np.nan, 0.0]]), np.array([[np.inf, 0.0, 1.0]]),
+                  np.eye(2, dtype=int), np.ones(3, dtype=int)):
+            with pytest.raises(PreconditionViolated):
+                filter_matrix(a, h, 10.0)
+        assert filter_matrix(np.eye(3, dtype=int), h, 10.0).shape == (3, 2)
 
 
 class TestRates:

@@ -312,11 +312,24 @@ class TestSolveSmp:
         assert sol.objective == pytest.approx(9.0)
 
     def test_random_vs_oracle(self, rng):
-        g = random_gram(rng, 4, p=10.0)
-        sol = solve_smp(g)
-        r_bar = lll_reduce(cholesky(g)).r_bar
-        _, expected = brute_force_smp(r_bar)
-        assert list(sol.lambdas) == pytest.approx(expected, rel=1e-9)
+        grams = [random_gram(rng, 4, p=10.0)]
+        # integer Gram matrices b^T b: an upper-triangular b with diagonal
+        # 1 or 2 is its own Cholesky factor, so LLL and the walk meet exact
+        # half-way centres; a full b in -2..2 gives a few more
+        while len(grams) < 41:
+            n = int(rng.integers(2, 7))
+            if len(grams) % 2:
+                b = np.triu(rng.integers(-3, 4, (n, n)), 1) + np.diag(rng.choice([1, 2], n))
+            else:
+                b = rng.integers(-2, 3, (n, n))
+                if int_det(b) == 0:
+                    continue
+            grams.append((b.T @ b).astype(float))
+        for g in grams:
+            sol = solve_smp(g)
+            _, expected = brute_force_smp(lll_reduce(cholesky(g)).r_bar)
+            assert list(sol.lambdas) == pytest.approx(expected, rel=1e-12)
+            assert int_det(sol.a_star) != 0
 
     def test_solution_invariants(self, rng):
         for _ in range(30):

@@ -11,6 +11,7 @@ which subsumes a 64->128 bit widening scheme).
 from __future__ import annotations
 
 import math
+from operator import sub
 
 import numpy as np
 
@@ -26,24 +27,41 @@ SYMMETRY_RTOL = 1e-12
 SINGULAR_RTOL = 1e-14
 
 
+def _float_array(x) -> np.ndarray:
+    """x as a float64 ndarray; raises PreconditionViolated unless numpy reads
+    it as an array of real numbers (bool, integer or float dtype), so that a
+    complex, string or ragged input is not cast silently or failed untyped."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nested sequence
+        raise PreconditionViolated("expected an array of real numbers") from None
+    if a.dtype.kind not in "biuf":
+        raise PreconditionViolated(f"expected an array of real numbers, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def cholesky(g: np.ndarray) -> np.ndarray:
     """Upper-triangular Cholesky factor R of a symmetric positive definite
     matrix, with R^T R = g and positive diagonal.
 
-    Raises PreconditionViolated (empty, or a NaN / infinite entry),
-    NotSymmetric or NotPositiveDefinite; each test fails on a NaN.
+    Raises PreconditionViolated (not real, empty, or a NaN / infinite
+    entry), NotSymmetric or NotPositiveDefinite; each test fails on a NaN.
     """
-    g = np.asarray(g, dtype=float)
+    g = _float_array(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {g.shape}")
     if not g.size:
         raise PreconditionViolated("matrix is empty")
-    scale = np.max(np.abs(g))  # NaN or inf if any entry is
-    if not math.isfinite(scale):
+    rows = g.tolist()  # Python floats: same decisions, cheaper than numpy here
+    flat = sum(rows, [])
+    if not all(map(math.isfinite, flat)):
         raise PreconditionViolated("matrix has a NaN or infinite entry")
-    if not np.max(np.abs(g - g.T)) <= SYMMETRY_RTOL * (scale or 1.0):
+    asym = max(map(abs, map(sub, flat, sum(zip(*rows), ()))))
+    if not asym <= SYMMETRY_RTOL * (max(map(abs, flat)) or 1.0):
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
 
+    # R's bits come from this numpy loop: its BLAS dots use fused
+    # multiply-adds, which a Python sum does not reproduce
     n = g.shape[0]
     r = np.zeros((n, n))
     for j in range(n):
@@ -87,10 +105,20 @@ def checked_rows(m) -> list[list[float]]:
 
 
 def _to_int_rows(m) -> list[list[int]]:
+    """m as rows of Python ints; raises PreconditionViolated unless m is a
+    nonempty 2-D matrix of integral entries (2.0 is one, 0.5, NaN and 1j
+    are not)."""
     a = np.asarray(m)
     if a.ndim != 2 or not a.size:
         raise PreconditionViolated(f"expected a nonempty 2-D matrix, got shape {a.shape}")
-    return [[int(v) for v in row] for row in a]
+    entries = a.tolist()
+    try:
+        rows = [[int(v) for v in row] for row in entries]
+    except (TypeError, ValueError, OverflowError):
+        raise PreconditionViolated("expected a matrix of integers") from None
+    if rows != entries:  # int() truncated an entry, or parsed a string
+        raise PreconditionViolated("matrix has an entry that is not an integer")
+    return rows
 
 
 def _int64(rows: list[list[int]]) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     InvalidPower,
@@ -19,7 +19,7 @@ from .errors import (
     SingularCoefficientMatrix,
     ZeroVector,
 )
-from .matrixcore import int_det
+from .matrixcore import _float_array, int_det
 
 
 def _covariance_solve(h, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -27,27 +27,29 @@ def _covariance_solve(h, p: float) -> tuple[np.ndarray, np.ndarray]:
     inverse is never formed.
 
     Raises InvalidPower unless 0 < P < inf and 1/P is finite,
-    PreconditionViolated unless H is a 2-D matrix of finite entries and
-    H H^T + I/P is finite, and NotPositiveDefinite when H H^T + I/P is
-    numerically singular.
+    PreconditionViolated unless H is a nonempty 2-D matrix of finite real
+    entries and H H^T + I/P is finite, and NotPositiveDefinite when
+    H H^T + I/P is numerically singular.
     """
     # NaN fails the comparisons; 1/P is taken in Python floats, where a
     # subnormal P overflows it to inf without a warning
     if not 0 < p < math.inf or 1 / float(p) == math.inf:
         raise InvalidPower(f"power must be positive, finite and not subnormal, got {p}")
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or not np.isfinite(h).all():
-        raise PreconditionViolated(f"expected a 2-D channel of finite entries, shape {h.shape}")
+    h = _float_array(h)
+    if h.ndim != 2 or not h.size or not np.isfinite(h).all():
+        raise PreconditionViolated(f"expected a nonempty finite 2-D channel, shape {h.shape}")
     m = h @ h.T + np.eye(h.shape[0]) / p
-    # m is PSD, so a finite diagonal bounds every entry and cho_factor
-    # need not scan m again
+    # m is PSD, so a finite diagonal bounds every entry.  dpotrf/dpotrs are
+    # what cho_factor/cho_solve run, without their costly per-call checks.
     if not np.isfinite(m.diagonal()).all():
         raise PreconditionViolated("H H^T + I/P overflows")
-    try:
-        factor = cho_factor(m, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("H H^T + I/P is numerically singular") from exc
-    return h, cho_solve(factor, h, check_finite=False)
+    c, info = dpotrf(m, lower=0, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite("H H^T + I/P is numerically singular")
+    x, solve_info = dpotrs(c, h, lower=0)
+    if info or solve_info:
+        raise ValueError(f"LAPACK rejected argument {-min(info, solve_info)}")
+    return h, x
 
 
 def gram_matrix(h, p: float) -> np.ndarray:
@@ -64,9 +66,9 @@ def gram_matrix(h, p: float) -> np.ndarray:
 def filter_matrix(a, h, p: float) -> np.ndarray:
     """MMSE filter B = A X^T, rows b_m^T = a_m^T H^T (H H^T + I/P)^{-1}, with
     the X of `gram_matrix`; after the checks on P and H, raises
-    PreconditionViolated unless A is 2-D, finite and as wide as H."""
+    PreconditionViolated unless A is real, 2-D, finite and as wide as H."""
     h, x = _covariance_solve(h, p)
-    a = np.asarray(a, dtype=float)
+    a = _float_array(a)
     if a.ndim != 2 or a.shape[1] != h.shape[1] or not np.isfinite(a).all():
         raise PreconditionViolated(f"expected a finite 2-D A as wide as H, shape {a.shape}")
     return a @ x.T
@@ -74,13 +76,13 @@ def filter_matrix(a, h, p: float) -> np.ndarray:
 
 def rate_m(a_m, g) -> float:
     """Per-stream achievable rate max(0, log2(1 / a^T G a) / 2)."""
-    a_m = np.asarray(a_m)
+    a_m = _float_array(a_m)
     if not np.any(a_m):
         raise ZeroVector("coefficient vector must be nonzero")
-    g = np.asarray(g, dtype=float)
+    g = _float_array(g)
     if not np.isfinite(g).all():
         raise PreconditionViolated("G has a NaN or infinite entry")
-    quad = float(a_m.astype(float) @ g @ a_m.astype(float))
+    quad = float(a_m @ g @ a_m)
     if not quad > 0:
         raise PreconditionViolated(f"a^T G a = {quad} is not positive")
     return max(0.0, -0.5 * math.log2(quad))

@@ -27,8 +27,8 @@ list of float rows (every solver passes it through the one gate,
 `matrixcore.checked_rows`), and z @ c_star is multiplied in Python ints and converted to int64
 once, as a_star.  Per-call numpy overhead dominates at small n, so lists
 are faster there.  `gram_matrix` and `cholesky` stay numpy: their dot
-products go through BLAS, whose rounding a Python loop does not reproduce
-bit for bit, so moving them would change the answers.
+products go through BLAS, whose fused multiply-adds round differently from
+a Python sum, so moving them would change the answers.
 
 All independence decisions are made on integer matrices with exact
 arithmetic (`int_rank` of the coefficient columns taken as rows); no

@@ -11,6 +11,7 @@ from ifsmp import (
     cholesky,
     int_det,
     int_rank,
+    total_rate,
 )
 
 
@@ -45,21 +46,32 @@ class TestCholesky:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        # empty, or a NaN / infinite entry anywhere (cholesky reads only
-        # the upper triangle, and NaN compares false)
-        bad = [np.zeros((0, 0))]
+        # empty, not real, or a NaN / infinite entry anywhere (cholesky
+        # reads only the upper triangle, and NaN compares false)
+        bad = [np.zeros((0, 0)), 1j * np.eye(2), [["x"]], [[1.0, 0.0], [0.0]]]
         for pos, value in [((1, 0), np.nan), ((2, 2), np.nan), ((0, 1), np.nan),
                            ((0, 2), np.nan), ((1, 0), np.inf), ((1, 0), -np.inf)]:
             g = np.eye(3) + 0.1
             g[pos] = value
             bad.append(g)
+            # the finite test comes before the symmetry test
+            asymmetric = g.copy()
+            asymmetric[2, 0] = 5.0
+            bad.append(asymmetric)
         for g in bad:
             with pytest.raises(PreconditionViolated):
                 cholesky(g)
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(NotSymmetric):
-            cholesky(np.array([[1.0, 0.5], [0.4, 1.0]]))
+        # non-square comes first, before the empty and finite tests; a pair
+        # whose difference overflows is asymmetric, not a float error
+        for g in ([[1.0, 0.5], [0.4, 1.0]], [[1.0, 1e308], [-1e308, 1.0]], np.ones(3),
+                  np.ones((2, 3)), np.zeros((0, 2)), [[np.nan, 0.0, 1.0]]):
+            with pytest.raises(NotSymmetric):
+                cholesky(g)
+        # asymmetry within 1e-12 of the largest entry is accepted
+        r = cholesky(np.array([[4.0, 2.0], [2.0 + 2e-12, 3.0]]))
+        np.testing.assert_allclose(r, [[2.0, 1.0], [0.0, math.sqrt(2)]])
 
     def test_random_spd_reconstruction(self, rng):
         for _ in range(1000):
@@ -113,6 +125,20 @@ class TestIntDet:
         for m in (np.zeros((0, 0), dtype=int), np.zeros((0, 3), dtype=int), [], [[1, 2]]):
             with pytest.raises(PreconditionViolated):
                 int_det(m)
+
+    def test_non_integral_rejected(self):
+        # int() would truncate 0.5 to 0 and call an invertible matrix singular
+        for m in ([[0.5, 0], [0, 2]], [[1, 0], [0, np.nan]], [[np.inf, 0], [0, 1]],
+                  [[1j, 0], [0, 1]], [["1", "0"], ["0", "1"]]):
+            for f in (int_det, int_rank):
+                with pytest.raises(PreconditionViolated):
+                    f(m)
+        with pytest.raises(PreconditionViolated):
+            total_rate([[0.5, 0], [0, 2]], 0.25 * np.eye(2))
+        # integral floats and Python ints beyond int64 stay exact
+        assert int_det([[2.0, 0.0], [0.0, 2.0]]) == 4
+        assert int_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+        assert int_det([[2**70, 1], [0, 1]]) == 2**70
 
     def test_random_vs_numpy(self, rng):
         for trial in range(360):

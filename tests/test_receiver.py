@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from ifsmp import (
     InvalidPower,
@@ -14,6 +15,11 @@ from ifsmp import (
     solve_smp,
     total_rate,
 )
+
+
+# complex, string and ragged matrices: numpy would cast the first with only
+# a ComplexWarning and fail the others with a bare ValueError
+NOT_REAL = (1j * np.eye(2), [["x"]], [[1.0, 2.0], [3.0]])
 
 
 class TestGramMatrix:
@@ -35,7 +41,8 @@ class TestGramMatrix:
 
     def test_invalid_channel(self):
         for h in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0]]),
-                  np.array([[1.0], [-np.inf]]), np.ones(3)):
+                  np.array([[1.0], [-np.inf]]), np.ones(3), *NOT_REAL, np.zeros((0, 2)),
+                  np.zeros((2, 0))):
             with pytest.raises(PreconditionViolated):
                 gram_matrix(h, 10.0)
         # finite H whose H H^T overflows: numpy warns in the product itself
@@ -45,6 +52,24 @@ class TestGramMatrix:
         for h, p in ((np.ones((3, 3)), 1e20), (np.ones((4, 4)), 1e16)):
             with pytest.raises(NotPositiveDefinite):
                 gram_matrix(h, p)
+
+    def test_matches_cho_solve_reference(self, rng):
+        # the covariance solve calls LAPACK dpotrf/dpotrs directly; G and
+        # the filter must be the bytes cho_factor/cho_solve give
+        for trial in range(500):
+            nt = trial % 6 + 1
+            nr = nt if trial % 3 else int(rng.integers(1, 7))
+            h = rng.standard_normal((nr, nt))
+            if trial % 4 == 0 and nt > 1:
+                h[:, 1] = h[:, 0]
+            p = 10.0 ** rng.uniform(-1.0, 4.0)
+            m = h @ h.T + np.eye(nr) / p
+            x = cho_solve(cho_factor(m, check_finite=False), h, check_finite=False)
+            ref = np.eye(nt) - h.T @ x
+            g = gram_matrix(h, p)
+            assert g.dtype == np.float64 and g.tobytes() == ((ref + ref.T) / 2).tobytes()
+            a = np.eye(nt, dtype=int)
+            assert filter_matrix(a, h, p).tobytes() == (a @ x.T).tobytes()
 
     def test_spd_and_eigen_range(self, rng):
         for _ in range(1000):
@@ -77,7 +102,7 @@ class TestFilterMatrix:
     def test_invalid_channel(self):
         a = np.eye(2, dtype=int)
         for h in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0]]),
-                  np.ones(3), np.ones(2)):
+                  np.ones(3), np.ones(2), *NOT_REAL):
             with pytest.raises(PreconditionViolated):
                 filter_matrix(a, h, 10.0)
         with pytest.raises(PreconditionViolated), pytest.warns(RuntimeWarning, match="overflow"):
@@ -87,7 +112,8 @@ class TestFilterMatrix:
         # A must be 2-D, finite and as wide as H (2 x 3 here)
         h = np.arange(6.0).reshape(2, 3)
         for a in (np.array([[1.0, np.nan, 0.0]]), np.array([[np.inf, 0.0, 1.0]]),
-                  np.eye(2, dtype=int), np.ones(3, dtype=int)):
+                  np.eye(2, dtype=int), np.ones(3, dtype=int), 1j * np.eye(3),
+                  [["x", "0", "0"]]):
             with pytest.raises(PreconditionViolated):
                 filter_matrix(a, h, 10.0)
         assert filter_matrix(np.eye(3, dtype=int), h, 10.0).shape == (3, 2)
@@ -116,6 +142,15 @@ class TestRates:
                 rate_m([1, 0], g)
             with pytest.raises(PreconditionViolated):
                 total_rate(np.eye(2, dtype=int), g)
+
+    def test_non_real_rejected(self):
+        # checked before the cast to float, which would drop 1j silently
+        for a in ([1j, 0], ["1", "0"]):
+            with pytest.raises(PreconditionViolated):
+                rate_m(a, 0.25 * np.eye(2))
+        for g in NOT_REAL:
+            with pytest.raises(PreconditionViolated):
+                rate_m([1, 0], g)
 
     def test_total_rate(self):
         assert total_rate(np.eye(2, dtype=int), 0.25 * np.eye(2)) == pytest.approx(2.0)

@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .receiver import gram_matrix, total_rate
-from .smp import ORACLE_MAX_DIM, _pipeline, baseline_smp, brute_force_smp, solve_rsmp
+from .smp import ORACLE_MAX_DIM, _baseline, _brute_force, _pipeline, _rsmp
 
-REDUCED_SOLVERS = {"new": solve_rsmp, "baseline": baseline_smp, "oracle": brute_force_smp}
+# the kernels of solve_rsmp, baseline_smp and brute_force_smp
+REDUCED_SOLVERS = {"new": _rsmp, "baseline": _baseline, "oracle": _brute_force}
 CSV_HEADER = ["algorithm", "nt", "p_db", "trial", "rate_total", "wall_time_s", "seed"]
 
 

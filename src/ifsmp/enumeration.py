@@ -28,6 +28,7 @@ leaf would be rejected.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,7 +71,7 @@ def _search(
                 dist[k - 1] = dist[k] + lhs
                 k -= 1
                 row = rows[k]
-                dk = -sum(row[j] * c[j] for j in range(k + 1, n)) / row[k]
+                dk = -sum(map(mul, row[k + 1:], c[k + 1:])) / row[k]
                 d[k] = dk
                 c[k] = round(dk)
                 s[k] = 1 if dk - c[k] >= 0 else -1

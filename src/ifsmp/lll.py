@@ -7,16 +7,15 @@ integer unimodular matrix Z so that ``r_bar = Q^T R Z`` for some orthogonal
 Q (never materialized).  Diagonal entries are kept positive throughout.
 Size reduction rounds with the builtin ``round`` (halves to even): any
 nearest integer gives |r_ik| <= r_ii / 2, whatever the tie rule.
-The input passes the same gate, `matrixcore.checked_rows`, as every
-enumeration entry point.
 
-The one implementation, `_lll`, runs on Python lists: the columns of
-r_bar as floats and the columns of Z as exact Python ints, so a step costs
-no numpy scalar access or fancy indexing and Z cannot overflow.  It takes R
-as an ndarray (converted by one ``tolist``) or as a list of rows and returns
-lists of rows, which `smp._pipeline` hands straight to the reduced solver;
-`lll_reduce` is the ndarray wrapper around it and the one place delta is
-checked (the pipeline always runs at DEFAULT_DELTA).
+The one implementation, the kernel `_lll`, runs on Python lists: the
+columns of r_bar as floats and the columns of Z as exact Python ints, so a
+step costs no numpy scalar access or fancy indexing and Z cannot overflow.
+It trusts its input rows and returns lists of rows, which `smp._pipeline`
+hands straight to the reduced solver.  `lll_reduce` is the public
+ndarray wrapper: it checks delta (the pipeline always runs at
+DEFAULT_DELTA) and passes R through the gate of every public triangular
+input, `matrixcore.checked_rows`, before it calls the kernel.
 """
 
 from __future__ import annotations
@@ -55,14 +54,14 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     """
     if not 0.25 < delta <= 1.0:
         raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
-    r_bar, z = _lll(r, delta)
+    r_bar, z = _lll(checked_rows(r), delta)
     return LllResult(r_bar=np.array(r_bar), z=_int64(z))
 
 
-def _lll(r, delta: float) -> tuple[list[list[float]], list[list[int]]]:
-    """`lll_reduce` on lists, for a delta in (1/4, 1]: returns the rows of
-    r_bar (floats) and of z (Python ints)."""
-    rows = checked_rows(r)
+def _lll(rows: list[list[float]], delta: float) -> tuple[list[list[float]], list[list[int]]]:
+    """The LLL kernel: `lll_reduce` on rows that pass `checked_rows`'s rules
+    (it may flip the signs of some of them in place), for a delta in
+    (1/4, 1]; returns the rows of r_bar (floats) and of z (Python ints)."""
     n = len(rows)
 
     # normalize diagonal signs up front (sign flips live in Q)
@@ -70,7 +69,7 @@ def _lll(r, delta: float) -> tuple[list[list[float]], list[list[int]]]:
         if row[i] < 0:
             row[i:] = [-v for v in row[i:]]
     cols = [list(col) for col in zip(*rows)]
-    z = [[int(i == k) for i in range(n)] for k in range(n)]  # columns
+    z = [[0] * k + [1] + [0] * (n - 1 - k) for k in range(n)]  # columns
 
     max_sweeps = max(1000, 10 * n * n * 64)
     sweeps = 0

@@ -1,11 +1,15 @@
 """Dense real linear algebra and exact integer matrix utilities.
 
-Real matrices enter as ``numpy.ndarray`` (float64); the triangular inputs
-of the reduction and enumeration stages pass one gate, `checked_rows`,
-which returns them as lists of rows of Python floats.  Integer matrices
-are handled with native Python ints internally, so every rank / determinant
-decision is exact: no tolerance, no overflow (Python ints are unbounded,
-which subsumes a 64->128 bit widening scheme).
+Real matrices enter as ``numpy.ndarray`` (float64).  A triangular matrix
+passed to a public reduction, enumeration or reduced-solver entry point
+passes one gate, `checked_rows`, which returns it as a list of rows of
+Python floats.  The solve pipeline builds its triangular factor itself
+with `cholesky` and applies only the gate's diagonal rule,
+`_check_diagonal`; no stage after it checks its input again.
+
+Integer matrices are handled with native Python ints internally, so every
+rank / determinant decision is exact: no tolerance, no overflow (Python
+ints are unbounded, which subsumes a 64->128 bit widening scheme).
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ def cholesky(g: np.ndarray) -> np.ndarray:
 
     Raises PreconditionViolated (not real, empty, or a NaN / infinite
     entry), NotSymmetric or NotPositiveDefinite; each test fails on a NaN.
+    A returned R is finite: every entry above the diagonal enters the dot
+    of its column's pivot, which a NaN or infinite one would make NaN or
+    -inf, and the diagonal holds square roots of finite positive pivots.
     """
     g = _float_array(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -62,15 +69,20 @@ def cholesky(g: np.ndarray) -> np.ndarray:
 
     # R's bits come from this numpy loop: its BLAS dots use fused
     # multiply-adds, which a Python sum does not reproduce
-    n = g.shape[0]
+    n = len(rows)
     r = np.zeros((n, n))
     for j in range(n):
-        pivot = g[j, j] - r[:j, j] @ r[:j, j]
+        if j:
+            col = r[:j, j]
+            pivot = rows[j][j] - col @ col
+        else:  # no dots in row 0: an empty one is 0.0, and x - 0.0 is x
+            pivot = rows[0][0]
         if not pivot > 0.0:
             raise NotPositiveDefinite(f"pivot {pivot} at index {j}")
-        r[j, j] = math.sqrt(pivot)
+        d = math.sqrt(pivot)
+        r[j, j] = d
         if j + 1 < n:
-            r[j, j + 1:] = (g[j, j + 1:] - r[:j, j] @ r[:j, j + 1:]) / r[j, j]
+            r[j, j + 1:] = (g[j, j + 1:] - col @ r[:j, j + 1:] if j else g[0, 1:]) / d
     return r
 
 
@@ -95,13 +107,19 @@ def checked_rows(m) -> list[list[float]]:
     n = len(rows)
     if not n or any(len(row) != n for row in rows):
         raise PreconditionViolated(f"expected a nonempty square matrix, got {n} rows")
-    diag = [abs(rows[i][i]) for i in range(n)]
-    bound = SINGULAR_RTOL * max(diag)
-    if not all(v >= bound for v in diag):
-        raise SingularInput("diagonal entry below 1e-14 of the largest")
+    _check_diagonal(rows)
     if not all(map(math.isfinite, sum(rows, []))):
         raise PreconditionViolated("matrix has a NaN or infinite entry")
     return rows
+
+
+def _check_diagonal(rows: list[list[float]]) -> None:
+    """The gate's diagonal rule: raises SingularInput unless every
+    |r_ii| >= 1e-14 max |r_ii| (false on a NaN)."""
+    diag = [abs(rows[i][i]) for i in range(len(rows))]
+    bound = SINGULAR_RTOL * max(diag)
+    if not all(v >= bound for v in diag):
+        raise SingularInput("diagonal entry below 1e-14 of the largest")
 
 
 def _to_int_rows(m) -> list[list[int]]:

@@ -8,6 +8,7 @@ here consume coefficient ROWS, so callers pass the solver output transposed.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -20,6 +21,21 @@ from .errors import (
     ZeroVector,
 )
 from .matrixcore import _float_array, int_det
+
+
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, built once per n and read-only, as the cache
+    hands every caller the same array."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite, tested on Python
+    floats: the same decision as numpy's, and cheaper at these sizes."""
+    return all(map(math.isfinite, a.ravel().tolist()))
 
 
 def _covariance_solve(h, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -36,12 +52,12 @@ def _covariance_solve(h, p: float) -> tuple[np.ndarray, np.ndarray]:
     if not 0 < p < math.inf or 1 / float(p) == math.inf:
         raise InvalidPower(f"power must be positive, finite and not subnormal, got {p}")
     h = _float_array(h)
-    if h.ndim != 2 or not h.size or not np.isfinite(h).all():
+    if h.ndim != 2 or not h.size or not _finite(h):
         raise PreconditionViolated(f"expected a nonempty finite 2-D channel, shape {h.shape}")
-    m = h @ h.T + np.eye(h.shape[0]) / p
+    m = h @ h.T + _identity(h.shape[0]) / p
     # m is PSD, so a finite diagonal bounds every entry.  dpotrf/dpotrs are
     # what cho_factor/cho_solve run, without their costly per-call checks.
-    if not np.isfinite(m.diagonal()).all():
+    if not _finite(m.diagonal()):
         raise PreconditionViolated("H H^T + I/P overflows")
     c, info = dpotrf(m, lower=0, clean=0)
     if info > 0:
@@ -59,7 +75,7 @@ def gram_matrix(h, p: float) -> np.ndarray:
     0 < P < inf.
     """
     h, x = _covariance_solve(h, p)
-    g = np.eye(h.shape[1]) - h.T @ x
+    g = _identity(h.shape[1]) - h.T @ x
     return (g + g.T) / 2
 
 
@@ -69,18 +85,27 @@ def filter_matrix(a, h, p: float) -> np.ndarray:
     PreconditionViolated unless A is real, 2-D, finite and as wide as H."""
     h, x = _covariance_solve(h, p)
     a = _float_array(a)
-    if a.ndim != 2 or a.shape[1] != h.shape[1] or not np.isfinite(a).all():
+    if a.ndim != 2 or a.shape[1] != h.shape[1] or not _finite(a):
         raise PreconditionViolated(f"expected a finite 2-D A as wide as H, shape {a.shape}")
     return a @ x.T
 
 
 def rate_m(a_m, g) -> float:
-    """Per-stream achievable rate max(0, log2(1 / a^T G a) / 2)."""
+    """Per-stream achievable rate max(0, log2(1 / a^T G a) / 2).
+
+    Raises ZeroVector for an all-zero a, and PreconditionViolated unless a
+    is a real 1-D vector and G a real, finite, square matrix as wide as a
+    with a^T G a > 0.
+    """
     a_m = _float_array(a_m)
     if not np.any(a_m):
         raise ZeroVector("coefficient vector must be nonzero")
+    if a_m.ndim != 1:
+        raise PreconditionViolated(f"expected a 1-D coefficient vector, got shape {a_m.shape}")
     g = _float_array(g)
-    if not np.isfinite(g).all():
+    if g.shape != a_m.shape * 2:
+        raise PreconditionViolated(f"expected a square G as wide as a, got shape {g.shape}")
+    if not _finite(g):
         raise PreconditionViolated("G has a NaN or infinite entry")
     quad = float(a_m @ g @ a_m)
     if not quad > 0:
@@ -89,7 +114,8 @@ def rate_m(a_m, g) -> float:
 
 
 def total_rate(a, g) -> float:
-    """Total rate N_t * min_m rate_m over the rows of an invertible a."""
+    """Total rate N_t * min_m rate_m over the rows of an invertible a;
+    raises what `int_det` and `rate_m` raise on a and G."""
     a = np.asarray(a)
     if int_det(a) == 0:
         raise SingularCoefficientMatrix("coefficient matrix must be invertible")

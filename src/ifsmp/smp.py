@@ -1,34 +1,40 @@
 """Exact successive-minima solvers.
 
 One pipeline, `_pipeline`, runs Cholesky -> LLL (at DEFAULT_DELTA) -> a
-reduced solver -> a_star = z @ c_star.  `solve_smp` runs it with `solve_rsmp`: one
-Schnorr-Euchner enumeration that starts from a permuted identity basis C and
-repairs it at every improving leaf c with the basis-update rule behind
-`update_basis`: with y = adj(C) c and i the stable insertion point of c,
-drop column m = max{k : y_k != 0}, or reject c when m < i.  adj(C) is kept
-up to sign as exact integers and updated by one rank-one step per accepted
-leaf, so a leaf costs O(n) per column from the last down to i, and an
-accepted one O(n^2); no leaf re-runs an elimination.  The walk never
-reaches most of the leaves the rule would reject: `_subspace_radii` reads
-off adj(C) which basis columns a vector supported on c_0..c_h can replace,
-and gives that subspace the norm of the last of them as its radius.  A
-leaf beyond it would be inserted after every column it could replace, so
-it is always a rejected one, and skipping it leaves every output bit for
-bit as a flat radius gives it.  `brute_force_smp`,
-the ground-truth oracle, collects every leaf of one fixed-radius search on
-the same `enumeration._search` engine and selects greedily with exact
-ranks; `baseline_smp` rebuilds the column-by-column approach of prior
-solvers.  Every solver reaches the tree walk through `_search`, and the
-benchmark runs all three reduced solvers through `_pipeline`.
+reduced solver -> a_star = z @ c_star.  `solve_smp` runs it with the
+kernel of `solve_rsmp`: one Schnorr-Euchner enumeration that starts from a
+permuted identity basis C and repairs it at every improving leaf c with
+the basis-update rule behind `update_basis`: with y = adj(C) c and i the
+stable insertion point of c, drop column m = max{k : y_k != 0}, or reject
+c when m < i.  adj(C) is kept up to sign as exact integers and updated by
+one rank-one step per accepted leaf, so a leaf costs O(n) per column from
+the last down to i, and an accepted one O(n^2); no leaf re-runs an
+elimination.  The walk never reaches most of the leaves the rule would
+reject: `_subspace_radii` reads off adj(C) which basis columns a vector
+supported on c_0..c_h can replace, and gives that subspace the norm of the
+last of them as its radius.  A leaf beyond it would be inserted after
+every column it could replace, so it is always a rejected one, and
+skipping it leaves every output bit for bit as a flat radius gives it.
+`brute_force_smp`, the ground-truth oracle, collects every leaf of one
+fixed-radius search on the same `enumeration._search` engine and selects
+greedily with exact ranks; `baseline_smp` rebuilds the column-by-column
+approach of prior solvers.  Every solver reaches the tree walk through
+`_search`, and the benchmark runs the kernels of all three reduced solvers
+through `_pipeline`.
 
 Between Cholesky and a_star the pipeline works on Python lists: R is
-converted once, when LLL reads it, r_bar reaches the reduced solver as a
-list of float rows (every solver passes it through the one gate,
-`matrixcore.checked_rows`), and z @ c_star is multiplied in Python ints and converted to int64
-once, as a_star.  Per-call numpy overhead dominates at small n, so lists
-are faster there.  `gram_matrix` and `cholesky` stay numpy: their dot
-products go through BLAS, whose fused multiply-adds round differently from
-a Python sum, so moving them would change the answers.
+converted once by ``tolist``, r_bar and z leave the LLL kernel as lists of
+rows, the reduced solver's kernel returns the columns of c_star as tuples
+of ints, and z @ c_star is multiplied in Python ints and converted to
+int64 once, as a_star.  Per-call numpy overhead dominates at small n, so
+lists are faster there.  `gram_matrix` and `cholesky` stay numpy: their
+dot products go through BLAS, whose fused multiply-adds round differently
+from a Python sum, so moving them would change the answers.
+
+The pipeline checks its input once: `cholesky` checks G, and R passes the
+diagonal rule of `matrixcore.checked_rows`, the gate of triangular
+inputs; the LLL and reduced-solver kernels after it trust their rows.
+Each public reduced solver is that gate plus its kernel (`_gated`).
 
 All independence decisions are made on integer matrices with exact
 arithmetic (`int_rank` of the coefficient columns taken as rows); no
@@ -46,7 +52,7 @@ import numpy as np
 from .enumeration import _search
 from .errors import DimensionTooLarge, PreconditionViolated, SingularCoefficientMatrix
 from .lll import DEFAULT_DELTA, _lll
-from .matrixcore import _int64, checked_rows, cholesky, int_det, int_rank
+from .matrixcore import _check_diagonal, _int64, checked_rows, cholesky, int_det, int_rank
 
 ORACLE_MAX_DIM = 8  # largest dimension brute_force_smp accepts
 
@@ -148,7 +154,7 @@ def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
 
 def _identity_norms(rows: list[list[float]]) -> list[float]:
     """||r_bar e_k|| for each k, of an upper-triangular r_bar given as rows."""
-    return [math.hypot(*(rows[i][k] for i in range(k + 1))) for k in range(len(rows))]
+    return [math.hypot(*col[:k + 1]) for k, col in enumerate(zip(*rows))]
 
 
 # The one relative pad on every squared radius derived from a float norm:
@@ -206,12 +212,16 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     rank-deficient channels, where almost every leaf lies in the span of
     shorter columns, it removes most of the walk.
     """
-    rows = checked_rows(r_bar)
+    return _gated(_rsmp, r_bar)
+
+
+def _rsmp(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
+    """`solve_rsmp` on trusted rows: the columns of c_star, and their norms."""
     n = len(rows)
     # permuted identity columns sorted by ||r_bar e_k|| (stable)
     col_norms = _identity_norms(rows)
     order = sorted(range(n), key=lambda k: col_norms[k])
-    cols = [tuple(1 if r == k else 0 for r in range(n)) for k in order]
+    cols = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in order]
     norms = [col_norms[k] for k in order]
     adj = [list(col) for col in cols]  # C^-1 = C^T for a permutation
     d = 1
@@ -228,7 +238,7 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
         return _subspace_radii(norms, adj)
 
     _search(rows, _subspace_radii(norms, adj), on_leaf)
-    return np.array(cols, dtype=np.int64).T, norms
+    return cols, norms
 
 
 def solve_smp(g) -> SmpSolution:
@@ -241,7 +251,7 @@ def solve_smp(g) -> SmpSolution:
     objective is the squared largest minimum and rate_total the resulting
     total achievable rate in bits per channel use.
     """
-    a_star, lambdas = _pipeline(g, solve_rsmp)
+    a_star, lambdas = _pipeline(g, _rsmp)
     objective = lambdas[-1] ** 2
     n = a_star.shape[0]
     rate_total = n * max(0.0, -0.5 * math.log2(objective))
@@ -253,21 +263,40 @@ def solve_smp(g) -> SmpSolution:
     )
 
 
-def _pipeline(g, reduced_solver) -> tuple[np.ndarray, list[float]]:
-    """The solve pipeline: Cholesky -> LLL -> ``reduced_solver(r_bar)`` ->
-    a_star = z @ c_star, on lists between `cholesky` and the int64 a_star.
-    Returns (a_star, lambdas)."""
-    r_bar, z = _lll(cholesky(g), DEFAULT_DELTA)
-    c_star, lambdas = reduced_solver(r_bar)
-    return _int_matmul(z, c_star), lambdas
+def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:
+    """The solve pipeline: Cholesky -> LLL -> ``kernel(r_bar)`` (a reduced
+    solver's kernel) -> a_star = z @ c_star, on lists between `cholesky`
+    and the int64 a_star.  Returns (a_star, lambdas).
+
+    The one check after `cholesky` is the gate's diagonal rule on R: a
+    returned R is finite and square, and r_bar passes the gate whenever R
+    does (up to rounding at the bound), because a Lovasz swap moves the two
+    diagonal entries it changes into the range between them."""
+    rows = cholesky(g).tolist()
+    _check_diagonal(rows)
+    r_bar, z = _lll(rows, DEFAULT_DELTA)
+    c_cols, lambdas = kernel(r_bar)
+    return _unreduce(z, c_cols), lambdas
+
+
+def _gated(kernel, r_bar) -> tuple[np.ndarray, list[float]]:
+    """A public reduced solver: r_bar through `checked_rows`, then
+    ``kernel``, whose columns of c_star are returned as an int64 matrix."""
+    cols, norms = kernel(checked_rows(r_bar))
+    return np.array(cols, dtype=np.int64).T, norms
+
+
+def _unreduce(z: list[list[int]], c_cols) -> np.ndarray:
+    """z @ C in Python ints, from the rows of z and the columns of C; the
+    int64 result conversion raises CoefficientOverflow."""
+    return _int64([[sum(map(mul, row, col)) for col in c_cols] for row in z])
 
 
 def _int_matmul(a, b) -> np.ndarray:
     """Exact product of integer matrices (ndarrays or lists of rows) in
     Python ints; the int64 result conversion raises CoefficientOverflow."""
     a_rows, b_rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in (a, b))
-    b_cols = list(zip(*b_rows))
-    return _int64([[sum(map(mul, row, col)) for col in b_cols] for row in a_rows])
+    return _unreduce(a_rows, list(zip(*b_rows)))
 
 
 def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
@@ -281,7 +310,11 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     The in-ball vectors form a matroid, so the picks attain the successive
     minima.  Exponential cost; guarded by ORACLE_MAX_DIM.
     """
-    rows = checked_rows(r_bar)
+    return _gated(_brute_force, r_bar)
+
+
+def _brute_force(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
+    """`brute_force_smp` on trusted rows: the columns of c_star, and their norms."""
     n = len(rows)
     if n > ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
@@ -299,7 +332,7 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
                 break
     if len(chosen) < n:
         raise RuntimeError("ball search failed to find a full basis")
-    return np.array(chosen, dtype=np.int64).T, lambdas
+    return chosen, lambdas
 
 
 def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
@@ -310,7 +343,11 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     squared radius starts at the k-th smallest identity-column norm squared
     times `_RADIUS_PAD` and shrinks on every improving independent one.
     """
-    rows = checked_rows(r_bar)
+    return _gated(_baseline, r_bar)
+
+
+def _baseline(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
+    """`baseline_smp` on trusted rows: the columns of c_star, and their norms."""
     n = len(rows)
     ident_norms = sorted(_identity_norms(rows))
     chosen: list[tuple[int, ...]] = []
@@ -324,7 +361,7 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
         norm, vec = found
         chosen.append(vec)
         lambdas.append(norm)
-    return np.array(chosen, dtype=np.int64).T, lambdas
+    return chosen, lambdas
 
 
 def _min_independent(

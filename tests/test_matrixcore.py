@@ -9,10 +9,25 @@ from ifsmp import (
     NotSymmetric,
     PreconditionViolated,
     cholesky,
+    gram_matrix,
     int_det,
     int_rank,
     total_rate,
 )
+
+
+def loop_cholesky(g):
+    """Reference: the plain numpy loop, empty dots at j = 0 included, whose
+    bits `cholesky` must keep."""
+    n = g.shape[0]
+    r = np.zeros((n, n))
+    for j in range(n):
+        pivot = g[j, j] - r[:j, j] @ r[:j, j]
+        assert pivot > 0.0
+        r[j, j] = math.sqrt(pivot)
+        if j + 1 < n:
+            r[j, j + 1:] = (g[j, j + 1:] - r[:j, j] @ r[:j, j + 1:]) / r[j, j]
+    return r
 
 
 def rational_pivot_cols(m):
@@ -72,6 +87,28 @@ class TestCholesky:
         # asymmetry within 1e-12 of the largest entry is accepted
         r = cholesky(np.array([[4.0, 2.0], [2.0 + 2e-12, 3.0]]))
         np.testing.assert_allclose(r, [[2.0, 1.0], [0.0, math.sqrt(2)]])
+
+    def test_bytes_match_loop_reference(self, rng):
+        grams = []
+        for nt in range(1, 9):
+            for p_db in (0.0, 10.0, 20.0):
+                p = 10.0 ** (p_db / 10.0)
+                grams.append(gram_matrix(rng.standard_normal((nt, nt)), p))
+                grams.append(gram_matrix(rng.standard_normal((nt + 2, nt)), p))
+                grams.append(gram_matrix(rng.standard_normal((max(nt - 2, 1), nt)), p))
+                if nt > 1:
+                    h = rng.standard_normal((nt, nt))
+                    h[:, 1] = h[:, 0]
+                    grams.append(gram_matrix(h, p))
+        # integer b^T b with zero entries: exact pivots and zero dots
+        while len(grams) < 200:
+            n = int(rng.integers(1, 7))
+            b = rng.integers(-1, 2, (n, n)) * (rng.random((n, n)) < 0.6)
+            if int_det(b) != 0:
+                grams.append((b.T @ b).astype(float))
+        for g in grams:
+            r = cholesky(g)
+            assert r.dtype == np.float64 and r.tobytes() == loop_cholesky(g).tobytes()
 
     def test_random_spd_reconstruction(self, rng):
         for _ in range(1000):

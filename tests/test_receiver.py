@@ -134,14 +134,22 @@ class TestRates:
             rate_m(np.zeros(2, dtype=int), np.eye(2))
 
     def test_invalid_gram_rejected(self):
-        # a NaN or infinite entry, or a^T G a <= 0 for the first row
+        # a NaN or infinite entry, a^T G a <= 0 for the first row, or a G
+        # that is not square or not as wide as a
         for g in ([[np.nan, 0.0], [0.0, 0.25]], [[np.inf, 0.0], [0.0, 0.25]],
                   [[0.25, -np.inf], [-np.inf, 0.25]], [[-1.0, 0.0], [0.0, 1.0]],
-                  [[0.0, 0.0], [0.0, 1.0]]):
+                  [[0.0, 0.0], [0.0, 1.0]], 0.25 * np.eye(3), np.ones((2, 3)),
+                  np.ones((3, 2)), [0.25, 0.25], 0.25):
             with pytest.raises(PreconditionViolated):
                 rate_m([1, 0], g)
             with pytest.raises(PreconditionViolated):
                 total_rate(np.eye(2, dtype=int), g)
+        # a must be 1-D and as wide as G
+        for a in ([1, 0, 0], [[1, 0]], 1):
+            with pytest.raises(PreconditionViolated):
+                rate_m(a, np.eye(2))
+        with pytest.raises(PreconditionViolated):
+            total_rate(np.eye(3, dtype=int), 0.25 * np.eye(2))
 
     def test_non_real_rejected(self):
         # checked before the cast to float, which would drop 1j silently

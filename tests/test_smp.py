@@ -10,6 +10,7 @@ from ifsmp import (
     DimensionTooLarge,
     PreconditionViolated,
     SingularCoefficientMatrix,
+    SingularInput,
     WorkingBasis,
     baseline_smp,
     brute_force_smp,
@@ -21,10 +22,9 @@ from ifsmp import (
     solve_smp,
     update_basis,
 )
-from ifsmp import smp
+from ifsmp import enumeration, lll, matrixcore, smp
 from ifsmp.bench import REDUCED_SOLVERS
 from ifsmp.enumeration import _search
-from ifsmp.matrixcore import checked_rows
 from ifsmp.smp import (
     _adjugate,
     _exchange,
@@ -50,10 +50,9 @@ def largest_removable(cols, norms, cand, cand_norm):
     raise AssertionError("no removable column")
 
 
-def flat_radius_rsmp(r_bar):
-    """`solve_rsmp` with one flat radius: `_search` at [norms[-1]^2] * n,
-    reset on every accept, plus the `_exchange` rule."""
-    rows = checked_rows(r_bar)
+def flat_radius_rsmp(rows):
+    """The kernel of `solve_rsmp` with one flat radius: `_search` at
+    [norms[-1]^2] * n, reset on every accept, plus the `_exchange` rule."""
     n = len(rows)
     col_norms = _identity_norms(rows)
     order = sorted(range(n), key=lambda k: col_norms[k])
@@ -73,7 +72,7 @@ def flat_radius_rsmp(r_bar):
         return [norms[-1] ** 2] * n
 
     _search(rows, [norms[-1] ** 2] * n, on_leaf)
-    return np.array(cols, dtype=np.int64).T, norms
+    return cols, norms
 
 
 def count_leaves(monkeypatch):
@@ -356,6 +355,31 @@ class TestSolveSmp:
                 assert int_det(sol.a_star) != 0
                 norms = np.linalg.norm(cholesky(g) @ sol.a_star.astype(float), axis=0)
                 assert list(sol.lambdas) == pytest.approx(list(norms), rel=1e-9)
+
+    def test_near_singular_gram_rejected(self):
+        # cholesky accepts it; R's diagonal ratio 1e-15 fails the gate's rule
+        with pytest.raises(SingularInput):
+            solve_smp(np.diag([1.0, 1e-30]))
+
+    def test_one_gate_per_solve(self, rng, monkeypatch):
+        # the pipeline checks G in cholesky and R by the diagonal rule alone;
+        # no stage passes its rows through checked_rows again
+        calls = [0]
+        gate = matrixcore.checked_rows
+
+        def counting(m):
+            calls[0] += 1
+            return gate(m)
+
+        for mod in (matrixcore, lll, smp, enumeration):
+            monkeypatch.setattr(mod, "checked_rows", counting)
+        for p_db in (0.0, 10.0, 20.0):
+            for nt in (2, 4, 6):
+                solve_smp(gram_matrix(rng.standard_normal((nt, nt)), 10.0 ** (p_db / 10.0)))
+                solve_smp(gram_matrix(duplicated_column(rng, nt), 10.0 ** (p_db / 10.0)))
+        assert calls[0] == 0
+        solve_rsmp(np.eye(2))  # the public solver keeps its gate
+        assert calls[0] == 1
 
     def test_objective_scaling_covariance(self, rng):
         g = random_gram(rng, 3, p=10.0)

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .lll import DEFAULT_DELTA, LllResult, lll_reduce
 from .matrixcore import cholesky, int_det, int_rank
-from .receiver import filter_matrix, gram_matrix, rate_m, total_rate
+from .receiver import gram_matrix, rate_m, total_rate
 from .smp import (
     Candidate,
     SmpSolution,

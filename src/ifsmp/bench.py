@@ -18,8 +18,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigError
-from .receiver import gram_matrix, total_rate
+from .errors import ConfigError, InvalidPower
+from .receiver import _check_power, gram_matrix, total_rate
 from .smp import ORACLE_MAX_DIM, _baseline, _brute_force, _pipeline, _rsmp
 
 # the kernels of solve_rsmp, baseline_smp and brute_force_smp
@@ -42,6 +42,11 @@ class BenchConfig:
             raise ConfigError("nt_list must contain positive dimensions")
         if not self.p_list_db:
             raise ConfigError("p_list_db must not be empty")
+        for p_db in self.p_list_db:
+            try:
+                _check_power(db_to_linear(p_db))
+            except (InvalidPower, OverflowError):
+                raise ConfigError(f"power {p_db} dB is not a valid linear power") from None
         unknown = set(self.algorithms) - set(REDUCED_SOLVERS)
         if unknown or not self.algorithms:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")

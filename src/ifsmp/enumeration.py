@@ -28,13 +28,14 @@ leaf would be rejected.
 
 from __future__ import annotations
 
+import math
 from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import PreconditionViolated
-from .matrixcore import checked_rows
+from .matrixcore import _float_array, checked_rows
 
 
 def _search(
@@ -104,10 +105,17 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
 
     ``visit(c)`` receives the candidate as an int ndarray and may return a
     new (smaller) radius; updates take effect immediately.  Returns the
-    number of vectors visited.
+    number of vectors visited.  Raises PreconditionViolated unless beta is
+    a positive real number whose square is finite (an infinite radius would
+    never end the walk), then what `checked_rows` raises on r_bar.
     """
-    if not beta > 0:
-        raise PreconditionViolated("beta must be positive")
+    b = _float_array(beta)
+    try:
+        beta_sq = float(b) ** 2 if b.ndim == 0 and b > 0 else math.nan
+    except OverflowError:  # a Python float square overflows with an error
+        beta_sq = math.inf
+    if not beta_sq < math.inf:
+        raise PreconditionViolated(f"beta must be positive with a finite square, got {beta!r}")
     rows = checked_rows(r_bar)
     n = len(rows)
 
@@ -115,5 +123,4 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
         new_beta = visit(np.array(c, dtype=np.int64))
         return None if new_beta is None else [float(new_beta) ** 2] * n
 
-    return _search(rows, [float(beta) ** 2] * n, on_leaf)
-
+    return _search(rows, [beta_sq] * n, on_leaf)

@@ -87,26 +87,19 @@ def cholesky(g: np.ndarray) -> np.ndarray:
 
 
 def checked_rows(m) -> list[list[float]]:
-    """The one gate of a triangular input: m (an ndarray, converted by one
-    ``tolist``, or a sequence of rows, converted entry by entry with no
-    numpy round trip) as a list of rows of Python floats.
+    """The one gate of a triangular input: m, read as real numbers by
+    `_float_array` (as `cholesky` reads G), as a list of rows of Python
+    floats, converted by one ``tolist``.
 
-    Raises PreconditionViolated unless m is a nonempty square 2-D matrix,
-    SingularInput unless every |r_ii| >= 1e-14 max |r_ii| (false on a NaN),
-    and PreconditionViolated if any entry is NaN or infinite.
+    Raises PreconditionViolated unless m is a nonempty square 2-D matrix
+    of real numbers, SingularInput unless every |r_ii| >= 1e-14 max |r_ii|
+    and that bound is positive (false on a NaN), and PreconditionViolated
+    if any entry is NaN or infinite.
     """
-    if isinstance(m, np.ndarray):
-        if m.ndim != 2:
-            raise PreconditionViolated(f"expected a 2-D matrix, got shape {m.shape}")
-        rows = m.astype(float, copy=False).tolist()
-    else:
-        try:
-            rows = [[float(v) for v in row] for row in m]
-        except TypeError:
-            raise PreconditionViolated("expected a 2-D matrix of numbers") from None
-    n = len(rows)
-    if not n or any(len(row) != n for row in rows):
-        raise PreconditionViolated(f"expected a nonempty square matrix, got {n} rows")
+    m = _float_array(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise PreconditionViolated(f"expected a nonempty square 2-D matrix, got shape {m.shape}")
+    rows = m.tolist()
     _check_diagonal(rows)
     if not all(map(math.isfinite, sum(rows, []))):
         raise PreconditionViolated("matrix has a NaN or infinite entry")
@@ -115,11 +108,12 @@ def checked_rows(m) -> list[list[float]]:
 
 def _check_diagonal(rows: list[list[float]]) -> None:
     """The gate's diagonal rule: raises SingularInput unless every
-    |r_ii| >= 1e-14 max |r_ii| (false on a NaN)."""
+    |r_ii| >= 1e-14 max |r_ii| and that bound is positive (false on a NaN);
+    a zero bound, from an all-zero diagonal, would pass every entry."""
     diag = [abs(rows[i][i]) for i in range(len(rows))]
     bound = SINGULAR_RTOL * max(diag)
-    if not all(v >= bound for v in diag):
-        raise SingularInput("diagonal entry below 1e-14 of the largest")
+    if not (bound > 0 and all(v >= bound for v in diag)):
+        raise SingularInput("diagonal entry below 1e-14 of the largest, or all zero")
 
 
 def _to_int_rows(m) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""Integer-forcing receiver formulas: Gram matrix, MMSE filter, rates.
+"""Integer-forcing receiver formulas: the Gram matrix and the rates.
 
 Rates are in bits per channel use (base-2 logs).  The SMP solver returns a
 matrix whose COLUMNS are the successive-minima vectors; the rate functions
@@ -38,19 +38,26 @@ def _finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
-def _covariance_solve(h, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """H as floats and X = (H H^T + I/P)^{-1} H, by a Cholesky solve; the
-    inverse is never formed.
-
-    Raises InvalidPower unless 0 < P < inf and 1/P is finite,
-    PreconditionViolated unless H is a nonempty 2-D matrix of finite real
-    entries and H H^T + I/P is finite, and NotPositiveDefinite when
-    H H^T + I/P is numerically singular.
-    """
+def _check_power(p: float) -> None:
+    """The power rule of `gram_matrix`: raises InvalidPower unless
+    0 < P < inf and 1/P is finite."""
     # NaN fails the comparisons; 1/P is taken in Python floats, where a
     # subnormal P overflows it to inf without a warning
     if not 0 < p < math.inf or 1 / float(p) == math.inf:
         raise InvalidPower(f"power must be positive, finite and not subnormal, got {p}")
+
+
+def gram_matrix(h, p: float) -> np.ndarray:
+    """G = I - H^T (H H^T + I/P)^{-1} H, symmetrized; X = (H H^T + I/P)^{-1} H
+    comes from a Cholesky solve, and the inverse is never formed.
+
+    Positive definite with eigenvalues in (0, 1] for any finite H and
+    0 < P < inf.  Raises InvalidPower unless 0 < P < inf and 1/P is finite,
+    PreconditionViolated unless H is a nonempty 2-D matrix of finite real
+    entries and H H^T + I/P is finite, and NotPositiveDefinite when
+    H H^T + I/P is numerically singular.
+    """
+    _check_power(p)
     h = _float_array(h)
     if h.ndim != 2 or not h.size or not _finite(h):
         raise PreconditionViolated(f"expected a nonempty finite 2-D channel, shape {h.shape}")
@@ -65,29 +72,8 @@ def _covariance_solve(h, p: float) -> tuple[np.ndarray, np.ndarray]:
     x, solve_info = dpotrs(c, h, lower=0)
     if info or solve_info:
         raise ValueError(f"LAPACK rejected argument {-min(info, solve_info)}")
-    return h, x
-
-
-def gram_matrix(h, p: float) -> np.ndarray:
-    """G = I - H^T (H H^T + I/P)^{-1} H, symmetrized.
-
-    Positive definite with eigenvalues in (0, 1] for any finite H and
-    0 < P < inf.
-    """
-    h, x = _covariance_solve(h, p)
     g = _identity(h.shape[1]) - h.T @ x
     return (g + g.T) / 2
-
-
-def filter_matrix(a, h, p: float) -> np.ndarray:
-    """MMSE filter B = A X^T, rows b_m^T = a_m^T H^T (H H^T + I/P)^{-1}, with
-    the X of `gram_matrix`; after the checks on P and H, raises
-    PreconditionViolated unless A is real, 2-D, finite and as wide as H."""
-    h, x = _covariance_solve(h, p)
-    a = _float_array(a)
-    if a.ndim != 2 or a.shape[1] != h.shape[1] or not _finite(a):
-        raise PreconditionViolated(f"expected a finite 2-D A as wide as H, shape {a.shape}")
-    return a @ x.T
 
 
 def rate_m(a_m, g) -> float:

@@ -42,6 +42,16 @@ class TestConfigValidation:
             BenchConfig(nt_list=(10,), p_list_db=(2.0,),
                         algorithms=("oracle",)).validate()
 
+    def test_invalid_power_rejected(self):
+        # P = 10^(dB/10) must pass gram_matrix's power rule: NaN, inf, 0
+        # (-4000 dB underflows) and an overflow of the conversion (1e6 dB)
+        for p_db in (np.nan, np.inf, -np.inf, -4000.0, 1e6):
+            config = BenchConfig(nt_list=(2,), p_list_db=(10.0, p_db), trials=1)
+            with pytest.raises(ConfigError):
+                config.validate()
+            with pytest.raises(ConfigError):
+                run_benchmark(config)
+
     def test_db_conversion(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)
         assert db_to_linear(0.0) == pytest.approx(1.0)
@@ -108,6 +118,15 @@ class TestCli:
 
     def test_bad_algorithm_exit_code(self, capsys):
         assert cli_main(["--algs", "bogus"]) == 1
+
+    def test_invalid_power_exit_code(self, tmp_path, capsys):
+        # rejected before any cell runs, so nothing is written
+        out = tmp_path / "bench.csv"
+        for pdb in ("nan", "inf", "-4000", "1e6", "10,nan"):
+            assert cli_main(["--nt", "2", "--pdb", pdb, "--trials", "1",
+                             "--out", str(out)]) == 1
+            assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_io_error_exit_code(self, capsys):
         code = cli_main(["--nt", "2", "--pdb", "2", "--trials", "1",

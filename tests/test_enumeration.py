@@ -52,8 +52,11 @@ class TestEnumerateBelow:
         assert count == 2
 
     def test_nonpositive_beta_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            enumerate_below(np.eye(2), 0.0, lambda c: None)
+        # beta must be a positive real whose square is finite: an infinite
+        # one would never end the walk, and 1e308 ** 2 overflows
+        for beta in (0.0, -1.0, np.nan, np.inf, 1e308, "x", 1j, [1.0]):
+            with pytest.raises(PreconditionViolated):
+                enumerate_below(np.eye(2), beta, lambda c: None)
 
     def test_matches_box_oracle(self, rng):
         for _ in range(60):

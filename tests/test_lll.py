@@ -85,6 +85,14 @@ def test_singular_rejected():
         (np.diag([np.inf, np.inf]), PreconditionViolated),
         (np.ones(3), PreconditionViolated),
         ([1.0, 2.0], PreconditionViolated),
+        # an all-zero diagonal: the bound 1e-14 max |r_ii| is 0 itself
+        (np.zeros((2, 2)), SingularInput),
+        # not real numbers: complex, strings (even numeric ones), and an
+        # integer no float holds, read as cholesky reads G
+        (1j * np.eye(2), PreconditionViolated),
+        ([["1.5", "0"], ["0", "2"]], PreconditionViolated),
+        ([["a"]], PreconditionViolated),
+        ([[10**400]], PreconditionViolated),
     ]
     for r, error in cases:
         for entry in entry_points:

@@ -9,7 +9,6 @@ from ifsmp import (
     SingularCoefficientMatrix,
     ZeroVector,
     cholesky,
-    filter_matrix,
     gram_matrix,
     rate_m,
     solve_smp,
@@ -54,8 +53,8 @@ class TestGramMatrix:
                 gram_matrix(h, p)
 
     def test_matches_cho_solve_reference(self, rng):
-        # the covariance solve calls LAPACK dpotrf/dpotrs directly; G and
-        # the filter must be the bytes cho_factor/cho_solve give
+        # gram_matrix calls LAPACK dpotrf/dpotrs directly; G must be the
+        # bytes cho_factor/cho_solve give
         for trial in range(500):
             nt = trial % 6 + 1
             nr = nt if trial % 3 else int(rng.integers(1, 7))
@@ -68,8 +67,6 @@ class TestGramMatrix:
             ref = np.eye(nt) - h.T @ x
             g = gram_matrix(h, p)
             assert g.dtype == np.float64 and g.tobytes() == ((ref + ref.T) / 2).tobytes()
-            a = np.eye(nt, dtype=int)
-            assert filter_matrix(a, h, p).tobytes() == (a @ x.T).tobytes()
 
     def test_spd_and_eigen_range(self, rng):
         for _ in range(1000):
@@ -81,42 +78,6 @@ class TestGramMatrix:
             r = cholesky(g)  # raises if any pivot <= 0
             assert np.all(np.diag(r) > 0)
             assert np.max(np.linalg.eigvalsh(g)) <= 1.0 + 1e-12
-
-
-class TestFilterMatrix:
-    def test_zero_channel(self):
-        b = filter_matrix(np.eye(2, dtype=int), np.zeros((2, 2)), 4.0)
-        np.testing.assert_allclose(b, np.zeros((2, 2)))
-
-    def test_identity_scalar_cases(self):
-        np.testing.assert_allclose(filter_matrix(np.eye(2, dtype=int), np.eye(2), 1.0),
-                                   0.5 * np.eye(2))
-        np.testing.assert_allclose(filter_matrix(np.eye(2, dtype=int), np.eye(2), 9.0),
-                                   0.9 * np.eye(2))
-
-    def test_invalid_power(self):
-        for p in (0.0, -1.0, np.nan, np.inf, 1e-320, np.float64(1e-320)):
-            with pytest.raises(InvalidPower):
-                filter_matrix(np.eye(2, dtype=int), np.eye(2), p)
-
-    def test_invalid_channel(self):
-        a = np.eye(2, dtype=int)
-        for h in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0]]),
-                  np.ones(3), np.ones(2), *NOT_REAL):
-            with pytest.raises(PreconditionViolated):
-                filter_matrix(a, h, 10.0)
-        with pytest.raises(PreconditionViolated), pytest.warns(RuntimeWarning, match="overflow"):
-            filter_matrix(a, np.full((2, 2), 1e200), 1.0)
-
-    def test_invalid_coefficients(self):
-        # A must be 2-D, finite and as wide as H (2 x 3 here)
-        h = np.arange(6.0).reshape(2, 3)
-        for a in (np.array([[1.0, np.nan, 0.0]]), np.array([[np.inf, 0.0, 1.0]]),
-                  np.eye(2, dtype=int), np.ones(3, dtype=int), 1j * np.eye(3),
-                  [["x", "0", "0"]]):
-            with pytest.raises(PreconditionViolated):
-                filter_matrix(a, h, 10.0)
-        assert filter_matrix(np.eye(3, dtype=int), h, 10.0).shape == (3, 2)
 
 
 class TestRates:

@@ -23,7 +23,9 @@ and tests a node at level k against radii[top]: every leaf below it ends
 at c_top.  `enumerate_below`, the oracle and the baseline pass a flat list,
 which is the ordinary sphere; `smp.solve_rsmp` derives tighter radii for
 the low subspaces from its basis, so it never enters a region where every
-leaf would be rejected.
+leaf would be rejected.  The walk trusts its rows to have passed
+`matrixcore.checked_rows`, which keeps every square it compares a normal
+float: no radius or distance underflows to zero or overflows.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ import math
 from operator import mul
 from typing import Callable, Optional
 
-import numpy as np
-
 from .errors import PreconditionViolated
-from .matrixcore import _float_array, checked_rows
+from .matrixcore import _float_array, _int64, checked_rows
 
 
 def _search(
@@ -103,11 +103,12 @@ def _search(
 def enumerate_below(r_bar, beta: float, visit) -> int:
     """Visit every nonzero sign-canonical c with ||r_bar c|| < beta.
 
-    ``visit(c)`` receives the candidate as an int ndarray and may return a
-    new (smaller) radius; updates take effect immediately.  Returns the
+    ``visit(c)`` receives the candidate as an int64 ndarray (a candidate
+    that does not fit raises CoefficientOverflow); its return value is
+    ignored, so the radius stays beta for the whole walk.  Returns the
     number of vectors visited.  Raises PreconditionViolated unless beta is
-    a positive real number whose square is finite (an infinite radius would
-    never end the walk), then what `checked_rows` raises on r_bar.
+    a positive real number whose square is finite (an infinite radius
+    would never end the walk), then what `checked_rows` raises on r_bar.
     """
     b = _float_array(beta)
     try:
@@ -117,10 +118,8 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
     if not beta_sq < math.inf:
         raise PreconditionViolated(f"beta must be positive with a finite square, got {beta!r}")
     rows = checked_rows(r_bar)
-    n = len(rows)
 
-    def on_leaf(c: list[int], norm_sq: float) -> Optional[list[float]]:
-        new_beta = visit(np.array(c, dtype=np.int64))
-        return None if new_beta is None else [float(new_beta) ** 2] * n
+    def on_leaf(c: list[int], norm_sq: float) -> None:
+        visit(_int64([c])[0])
 
-    return _search(rows, [beta_sq] * n, on_leaf)
+    return _search(rows, [beta_sq] * len(rows), on_leaf)

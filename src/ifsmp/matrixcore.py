@@ -15,7 +15,8 @@ ints are unbounded, which subsumes a 64->128 bit widening scheme).
 from __future__ import annotations
 
 import math
-from operator import sub
+import sys
+from operator import mul, sub
 
 import numpy as np
 
@@ -92,28 +93,32 @@ def checked_rows(m) -> list[list[float]]:
     floats, converted by one ``tolist``.
 
     Raises PreconditionViolated unless m is a nonempty square 2-D matrix
-    of real numbers, SingularInput unless every |r_ii| >= 1e-14 max |r_ii|
-    and that bound is positive (false on a NaN), and PreconditionViolated
-    if any entry is NaN or infinite.
+    of real numbers, SingularInput unless its diagonal passes
+    `_check_diagonal`, and PreconditionViolated unless its squared entries
+    sum to a finite float, which a NaN, an infinite entry or an overflow
+    prevents.
     """
     m = _float_array(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise PreconditionViolated(f"expected a nonempty square 2-D matrix, got shape {m.shape}")
     rows = m.tolist()
     _check_diagonal(rows)
-    if not all(map(math.isfinite, sum(rows, []))):
-        raise PreconditionViolated("matrix has a NaN or infinite entry")
+    flat = sum(rows, [])
+    if not sum(map(mul, flat, flat)) < math.inf:
+        raise PreconditionViolated("matrix has a NaN or infinite entry, or squares that overflow")
     return rows
 
 
 def _check_diagonal(rows: list[list[float]]) -> None:
     """The gate's diagonal rule: raises SingularInput unless every
-    |r_ii| >= 1e-14 max |r_ii| and that bound is positive (false on a NaN);
-    a zero bound, from an all-zero diagonal, would pass every entry."""
+    |r_ii| >= 1e-14 max |r_ii| (false on a NaN) and min |r_ii| squared
+    (by ``*``: ``**`` raises on overflow) is at least ``sys.float_info.min``,
+    so that no square the walk compares underflows."""
     diag = [abs(rows[i][i]) for i in range(len(rows))]
     bound = SINGULAR_RTOL * max(diag)
-    if not (bound > 0 and all(v >= bound for v in diag)):
-        raise SingularInput("diagonal entry below 1e-14 of the largest, or all zero")
+    low = min(diag)
+    if not (low * low >= sys.float_info.min and all(v >= bound for v in diag)):
+        raise SingularInput("diagonal entry below 1e-14 of the largest, or its square not normal")
 
 
 def _to_int_rows(m) -> list[list[int]]:

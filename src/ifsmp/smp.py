@@ -34,7 +34,9 @@ from a Python sum, so moving them would change the answers.
 The pipeline checks its input once: `cholesky` checks G, and R passes the
 diagonal rule of `matrixcore.checked_rows`, the gate of triangular
 inputs; the LLL and reduced-solver kernels after it trust their rows.
-Each public reduced solver is that gate plus its kernel (`_gated`).
+Each public reduced solver is that gate plus its kernel (`_gated`).  The
+gate alone decides whether an input's squares fit in floats, so no kernel
+widens or retries a radius.
 
 All independence decisions are made on integer matrices with exact
 arithmetic (`int_rank` of the coefficient columns taken as rows); no
@@ -74,7 +76,7 @@ class WorkingBasis:
 
     def matrix(self) -> np.ndarray:
         """Columns assembled into an integer matrix."""
-        return np.array(self.cols, dtype=np.int64).T
+        return _int64(self.cols).T
 
 
 @dataclass(frozen=True)
@@ -269,9 +271,10 @@ def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:
     and the int64 a_star.  Returns (a_star, lambdas).
 
     The one check after `cholesky` is the gate's diagonal rule on R: a
-    returned R is finite and square, and r_bar passes the gate whenever R
-    does (up to rounding at the bound), because a Lovasz swap moves the two
-    diagonal entries it changes into the range between them."""
+    returned R is finite and square, its column j has the finite squared
+    norm G_jj, and r_bar passes the gate whenever R does (up to rounding
+    at the bound), because a Lovasz swap moves the two diagonal entries it
+    changes into the range between them."""
     rows = cholesky(g).tolist()
     _check_diagonal(rows)
     r_bar, z = _lll(rows, DEFAULT_DELTA)
@@ -281,9 +284,10 @@ def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:
 
 def _gated(kernel, r_bar) -> tuple[np.ndarray, list[float]]:
     """A public reduced solver: r_bar through `checked_rows`, then
-    ``kernel``, whose columns of c_star are returned as an int64 matrix."""
+    ``kernel``, whose columns of c_star are returned as an int64 matrix
+    (CoefficientOverflow when an entry does not fit)."""
     cols, norms = kernel(checked_rows(r_bar))
-    return np.array(cols, dtype=np.int64).T, norms
+    return _int64(cols).T, norms
 
 
 def _unreduce(z: list[list[int]], c_cols) -> np.ndarray:
@@ -342,6 +346,8 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     the previously fixed columns, found by a bounded enumeration whose
     squared radius starts at the k-th smallest identity-column norm squared
     times `_RADIUS_PAD` and shrinks on every improving independent one.
+    That ball holds k + 1 identity columns, so one independent of the k
+    fixed ones: it is never empty on an input that passes the gate.
     """
     return _gated(_baseline, r_bar)
 
@@ -349,41 +355,24 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
 def _baseline(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
     """`baseline_smp` on trusted rows: the columns of c_star, and their norms."""
     n = len(rows)
-    ident_norms = sorted(_identity_norms(rows))
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
-    for k in range(n):
-        radius_sq = ident_norms[k] ** 2 * _RADIUS_PAD
-        found = _min_independent(rows, radius_sq, chosen)
-        while found is None:  # unreachable in theory; guard against fp edge
-            radius_sq *= 2.25
-            found = _min_independent(rows, radius_sq, chosen)
-        norm, vec = found
-        chosen.append(vec)
-        lambdas.append(norm)
-    return chosen, lambdas
 
-
-def _min_independent(
-    rows: list[list[float]],
-    radius_sq: float,
-    fixed: list[tuple[int, ...]],
-) -> tuple[float, tuple[int, ...]] | None:
-    """Shortest vector of squared norm < `radius_sq` independent of `fixed`."""
-    best: dict = {"norm_sq": None, "c": None}
-    n = len(rows)
-
-    def on_leaf(c: list[int], norm_sq: float):
-        if int_rank(fixed + [tuple(c)]) == len(fixed):
+    def on_leaf(c: list[int], norm_sq: float) -> list[float] | None:
+        nonlocal best
+        if int_rank(chosen + [tuple(c)]) == len(chosen):
             return None
-        best["norm_sq"] = norm_sq
-        best["c"] = tuple(c)
+        best = norm_sq, tuple(c)
         return [norm_sq] * n
 
-    _search(rows, [radius_sq] * n, on_leaf)
-    if best["c"] is None:
-        return None
-    return math.sqrt(best["norm_sq"]), best["c"]
+    for norm in sorted(_identity_norms(rows)):
+        best = None
+        _search(rows, [norm ** 2 * _RADIUS_PAD] * n, on_leaf)
+        if best is None:
+            raise RuntimeError("ball search failed to find an independent vector")
+        chosen.append(best[1])
+        lambdas.append(math.sqrt(best[0]))
+    return chosen, lambdas
 
 
 __all__ = [

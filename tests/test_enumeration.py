@@ -89,20 +89,11 @@ class TestEnumerateBelow:
             unsigned = box_oracle(r_bar, beta, canonical=False)
             assert 2 * count == len(unsigned)
 
-    def test_shrinking_callback_soundness(self, rng):
-        r_bar = random_reduced_basis(rng, 4)
-        beta0 = 2.0 * float(np.min(np.linalg.norm(r_bar, axis=0)))
-        state = {"beta": beta0}
-
-        def visit(c):
-            norm = float(np.linalg.norm(r_bar @ c))
-            assert norm < state["beta"]
-            new_beta = max(norm, 0.8 * state["beta"])
-            state["beta"] = new_beta
-            return new_beta
-
-        enumerate_below(r_bar, beta0, visit)
-
+    def test_visitor_return_value_ignored(self):
+        # the radius stays beta whatever the visitor returns: an infinite
+        # one never ends the walk, and 1e308 ** 2 overflows
+        for ret in (math.inf, 1e308):
+            assert enumerate_below(np.eye(2), 1.5, lambda c: ret) == 4
 
 
 class TestBruteForceReference:

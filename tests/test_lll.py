@@ -19,6 +19,10 @@ from ifsmp import (
 )
 
 
+# successive minima 0.510 / 0.568 / 0.723
+M = np.array([[1.0, 0.9, 0.3], [0.0, 0.5, 0.45], [0.0, 0.0, 0.4]])
+
+
 def assert_reduced(r_bar, delta):
     n = r_bar.shape[0]
     for k in range(1, n):
@@ -93,11 +97,30 @@ def test_singular_rejected():
         ([["1.5", "0"], ["0", "2"]], PreconditionViolated),
         ([["a"]], PreconditionViolated),
         ([[10**400]], PreconditionViolated),
+        # squares out of the normal float range: a smallest |r_ii| whose
+        # square is subnormal or zero, and squared entries whose sum
+        # overflows
+        (1e-300 * np.eye(3), SingularInput),
+        (1e-200 * M, SingularInput),
+        (1e-160 * M, SingularInput),
+        (1e160 * M, PreconditionViolated),
     ]
     for r, error in cases:
         for entry in entry_points:
             with pytest.raises(error):
                 entry(r)
+
+
+def test_in_range_edge_scales_exactly():
+    # 2^+-490 M keeps every square the walk compares a normal float, so the
+    # gate accepts it and each solver gives M's C* with lambda scaled by
+    # exactly that power of two
+    for solve in (solve_rsmp, baseline_smp, brute_force_smp):
+        c_star, lambdas = solve(M)
+        for e in (-490, 490):
+            c_scaled, l_scaled = solve(math.ldexp(1.0, e) * M)
+            assert np.array_equal(c_scaled, c_star)
+            assert l_scaled == [math.ldexp(v, e) for v in lambdas]
 
 
 def test_random_corpus_invariants(rng):

@@ -479,3 +479,13 @@ def test_int64_overflow_is_typed():
     with pytest.raises(CoefficientOverflow):
         _int_matmul([[2**40]], [[2**40]])
     assert _int_matmul([[2**31]], [[2**31]]).tolist() == [[2**62]]
+    # the public reduced solvers, the bounded enumerator's visitor and
+    # WorkingBasis convert through the same typed path: here c_star (and a
+    # vector in the ball) holds an entry of about -1e30
+    r = np.array([[1.0, 1e30], [0.0, 1.0]])
+    with pytest.raises(CoefficientOverflow):
+        solve_rsmp(r)
+    with pytest.raises(CoefficientOverflow):
+        enumeration.enumerate_below(r, 1.5, lambda c: None)
+    with pytest.raises(CoefficientOverflow):
+        WorkingBasis(cols=((2**70, 0), (0, 1)), norms=(1.0, 2.0)).matrix()

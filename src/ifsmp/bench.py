@@ -38,6 +38,8 @@ class BenchConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.nt_list or any(nt < 1 for nt in self.nt_list):
             raise ConfigError("nt_list must contain positive dimensions")
         if not self.p_list_db:

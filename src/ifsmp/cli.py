@@ -7,6 +7,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bench import BenchConfig, run_benchmark, write_csv, write_json
@@ -15,6 +16,7 @@ from .errors import ConfigError
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
+MAX_GRID_POINTS = 10_000
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -22,17 +24,22 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """Either a comma list ('2,4,8') or start:step:stop ('2:2:16', inclusive)."""
+    """Either a comma list ('2,4,8') or start:step:stop ('2:2:16', inclusive)
+    of finite values spanning at most MAX_GRID_POINTS points."""
     if ":" in text:
         start, step, stop = (float(tok) for tok in text.split(":"))
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ValueError("grid start, step and stop must be finite")
         if step <= 0:
             raise ValueError("grid step must be positive")
-        values = []
-        v = start
-        while v <= stop + 1e-9:
-            values.append(round(v, 9))
-            v += step
-        return tuple(values)
+        if start + step == start:
+            raise ValueError(f"grid step {step} does not advance from {start}")
+        # points past start; the stop gets the 1e-9 slack of the rounding
+        span = (stop + 1e-9 - start) / step
+        if span >= MAX_GRID_POINTS:
+            raise ValueError(f"grid {text} has more than {MAX_GRID_POINTS} points")
+        count = math.floor(span) + 1 if span >= 0 else 0
+        return tuple(round(start + k * step, 9) for k in range(count))
     return tuple(float(tok) for tok in text.split(","))
 
 

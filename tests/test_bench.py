@@ -52,6 +52,14 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 run_benchmark(config)
 
+    def test_negative_seed(self):
+        # np.random.SeedSequence would reject it mid-run with a bare ValueError
+        config = BenchConfig(nt_list=(2,), p_list_db=(10.0,), trials=1, seed=-1)
+        with pytest.raises(ConfigError):
+            config.validate()
+        with pytest.raises(ConfigError):
+            run_benchmark(config)
+
     def test_db_conversion(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)
         assert db_to_linear(0.0) == pytest.approx(1.0)
@@ -115,6 +123,8 @@ class TestOutput:
 class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert cli_main(["--trials", "0"]) == 1
+        assert cli_main(["--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_bad_algorithm_exit_code(self, capsys):
         assert cli_main(["--algs", "bogus"]) == 1
@@ -124,6 +134,17 @@ class TestCli:
         out = tmp_path / "bench.csv"
         for pdb in ("nan", "inf", "-4000", "1e6", "10,nan"):
             assert cli_main(["--nt", "2", "--pdb", pdb, "--trials", "1",
+                             "--out", str(out)]) == 1
+            assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unbounded_grid_exit_code(self, tmp_path, capsys):
+        # a step that cannot advance, infinite bounds and too many points
+        # are rejected before any list is built, so the CLI cannot hang
+        out = tmp_path / "bench.csv"
+        for pdb in ("1:1e-20:2", "inf:1:inf", "-inf:1:0", "0:1:inf", "0:nan:2",
+                    "0:1e-300:1", "-1e308:1e300:1e308"):
+            assert cli_main(["--nt", "2", f"--pdb={pdb}", "--trials", "1",
                              "--out", str(out)]) == 1
             assert "config error" in capsys.readouterr().err
         assert not out.exists()
@@ -152,9 +173,13 @@ class TestCli:
         assert [row["algorithm"] for row in payload["summary"]] == ["new"]
 
     def test_pdb_grid_parsing(self):
-        from ifsmp.cli import _parse_grid
+        from ifsmp.cli import MAX_GRID_POINTS, _parse_grid
 
         assert _parse_grid("2:2:16") == (2, 4, 6, 8, 10, 12, 14, 16)
+        assert _parse_grid("0:0.5:2") == (0.0, 0.5, 1.0, 1.5, 2.0)
+        assert _parse_grid("0:0.1:0.3") == (0.0, 0.1, 0.2, 0.3)
+        assert len(_parse_grid("0:1:9999")) == MAX_GRID_POINTS
+        assert _parse_grid("5:1:2") == ()
         assert _parse_grid("1,5,9") == (1.0, 5.0, 9.0)
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -15,6 +20,8 @@ from ifsmp import (
     total_rate,
 )
 
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # complex, string and ragged matrices: numpy would cast the first with only
 # a ComplexWarning and fail the others with a bare ValueError
@@ -67,6 +74,45 @@ class TestGramMatrix:
             ref = np.eye(nt) - h.T @ x
             g = gram_matrix(h, p)
             assert g.dtype == np.float64 and g.tobytes() == ((ref + ref.T) / 2).tobytes()
+
+    @pytest.mark.parametrize("linalg_first", [False, True])
+    def test_fresh_interpreter_lapack(self, linalg_first):
+        # receiver loads scipy's compiled LAPACK extension on its own: a solve
+        # must leave scipy.linalg unimported, and G must keep the bytes of
+        # cho_factor/cho_solve when scipy.linalg was imported before ifsmp
+        script = f"""
+import sys
+if {linalg_first}:
+    import scipy.linalg
+import numpy as np
+from ifsmp import gram_matrix, solve_smp
+rng = np.random.default_rng(3)
+hs = [rng.standard_normal((nr, 3)) for nr in (2, 3, 5)]
+gs = [gram_matrix(h, 10.0) for h in hs]
+solve_smp(gs[0])
+if not {linalg_first}:
+    assert "scipy.linalg" not in sys.modules, "import ifsmp imported scipy.linalg"
+from scipy.linalg import cho_factor, cho_solve
+for h, g in zip(hs, gs):
+    m = h @ h.T + np.eye(len(h)) / 10.0
+    ref = np.eye(3) - h.T @ cho_solve(cho_factor(m, check_finite=False), h, check_finite=False)
+    assert g.tobytes() == ((ref + ref.T) / 2).tobytes()
+"""
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_missing_flapack_names_the_file(self, tmp_path):
+        # a scipy without linalg/_flapack fails the import, naming the file
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("__version__ = '0.0'\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(SRC)])}
+        done = subprocess.run([sys.executable, "-c", "import ifsmp"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert "ImportError" in done.stderr
+        assert os.path.join(str(tmp_path), "scipy", "linalg", "_flapack") in done.stderr
 
     def test_spd_and_eigen_range(self, rng):
         for _ in range(1000):

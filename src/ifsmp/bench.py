@@ -25,6 +25,7 @@ from .smp import ORACLE_MAX_DIM, _baseline, _brute_force, _pipeline, _rsmp
 # the kernels of solve_rsmp, baseline_smp and brute_force_smp
 REDUCED_SOLVERS = {"new": _rsmp, "baseline": _baseline, "oracle": _brute_force}
 CSV_HEADER = ["algorithm", "nt", "p_db", "trial", "rate_total", "wall_time_s", "seed"]
+MAX_NT = 32  # no search budget bounds a solve yet, so cap its size
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class BenchConfig:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not self.nt_list or any(nt < 1 for nt in self.nt_list):
-            raise ConfigError("nt_list must contain positive dimensions")
+        if not self.nt_list or not all(1 <= nt <= MAX_NT for nt in self.nt_list):
+            raise ConfigError(f"nt_list must contain dimensions from 1 to {MAX_NT}")
         if not self.p_list_db:
             raise ConfigError("p_list_db must not be empty")
         for p_db in self.p_list_db:

@@ -86,18 +86,16 @@ def _lll(rows: list[list[float]], delta: float) -> tuple[list[list[float]], list
         if delta * prev[k - 1] ** 2 > col[k - 1] ** 2 + col[k] ** 2:
             cols[k - 1], cols[k] = col, prev
             z[k - 1], z[k] = z[k], z[k - 1]
-            # Givens rotation on rows k-1, k restores triangularity
+            # Givens rotation on rows k-1, k restores triangularity; row k
+            # is negated with it, as the new r_kk = -s * r_{k-1,k-1} < 0
             a, b = col[k - 1], col[k]
             h = math.hypot(a, b)
             c, s = a / h, b / h
             for v in cols[k - 1:]:
                 x, y = v[k - 1], v[k]
                 v[k - 1] = c * x + s * y
-                v[k] = -s * x + c * y
+                v[k] = s * x - c * y
             col[k] = 0.0
-            if prev[k] < 0:
-                for v in cols[k:]:
-                    v[k] = -v[k]
             k = max(k - 1, 1)
         else:
             for i in range(k - 2, -1, -1):

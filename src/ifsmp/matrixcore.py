@@ -7,6 +7,12 @@ Python floats.  The solve pipeline builds its triangular factor itself
 with `cholesky` and applies only the gate's diagonal rule,
 `_check_diagonal`; no stage after it checks its input again.
 
+`cholesky` and `receiver.gram_matrix` call LAPACK from scipy's compiled
+``scipy/linalg/_flapack``, which `_load_flapack` loads once by file, so
+that `import ifsmp` does not import `scipy.linalg` (whose start-up imports
+much of numpy that ifsmp never uses); R has the bits of
+``scipy.linalg.lapack.dpotrf``, the same compiled function.
+
 Integer matrices are handled with native Python ints internally, so every
 rank / determinant decision is exact: no tolerance, no overflow (Python
 ints are unbounded, which subsumes a 64->128 bit widening scheme).
@@ -15,10 +21,14 @@ ints are unbounded, which subsumes a 64->128 bit widening scheme).
 from __future__ import annotations
 
 import math
+import os
 import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from operator import mul, sub
 
 import numpy as np
+import scipy
 
 from .errors import (
     CoefficientOverflow,
@@ -30,6 +40,23 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-12
 SINGULAR_RTOL = 1e-14
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK extension, loaded from its file without
+    importing the `scipy.linalg` package around it."""
+    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = PathFinder.find_spec("_flapack", [linalg_dir])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension "
+                          f"{os.path.join(linalg_dir, '_flapack')}.*")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 def _float_array(x) -> np.ndarray:
@@ -47,13 +74,15 @@ def _float_array(x) -> np.ndarray:
 
 def cholesky(g: np.ndarray) -> np.ndarray:
     """Upper-triangular Cholesky factor R of a symmetric positive definite
-    matrix, with R^T R = g and positive diagonal.
+    matrix, with R^T R = g and positive diagonal: LAPACK ``dpotrf`` on the
+    upper triangle, with the lower one zeroed.
 
     Raises PreconditionViolated (not real, empty, or a NaN / infinite
     entry), NotSymmetric or NotPositiveDefinite; each test fails on a NaN.
-    A returned R is finite: every entry above the diagonal enters the dot
-    of its column's pivot, which a NaN or infinite one would make NaN or
-    -inf, and the diagonal holds square roots of finite positive pivots.
+    ``dpotrf`` reports success on some finite g whose pivots overflow to
+    NaN, so a diagonal entry that is not positive fails too.  A returned R
+    is then finite: every entry above the diagonal enters the pivot of its
+    column, which a NaN or infinite one would make NaN or -inf.
     """
     g = _float_array(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -64,26 +93,18 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     flat = sum(rows, [])
     if not all(map(math.isfinite, flat)):
         raise PreconditionViolated("matrix has a NaN or infinite entry")
-    asym = max(map(abs, map(sub, flat, sum(zip(*rows), ()))))
-    if not asym <= SYMMETRY_RTOL * (max(map(abs, flat)) or 1.0):
-        raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
-
-    # R's bits come from this numpy loop: its BLAS dots use fused
-    # multiply-adds, which a Python sum does not reproduce
-    n = len(rows)
-    r = np.zeros((n, n))
-    for j in range(n):
-        if j:
-            col = r[:j, j]
-            pivot = rows[j][j] - col @ col
-        else:  # no dots in row 0: an empty one is 0.0, and x - 0.0 is x
-            pivot = rows[0][0]
-        if not pivot > 0.0:
-            raise NotPositiveDefinite(f"pivot {pivot} at index {j}")
-        d = math.sqrt(pivot)
-        r[j, j] = d
-        if j + 1 < n:
-            r[j, j + 1:] = (g[j, j + 1:] - col @ r[:j, j + 1:] if j else g[0, 1:]) / d
+    transposed = sum(zip(*rows), ())
+    if tuple(flat) != transposed:  # gram_matrix's G is exactly symmetric
+        asym = max(map(abs, map(sub, flat, transposed)))
+        if not asym <= SYMMETRY_RTOL * (max(map(abs, flat)) or 1.0):
+            raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
+    r, info = dpotrf(g, lower=0, clean=1)
+    if info < 0:
+        raise ValueError(f"LAPACK rejected argument {-info}")
+    diag = r.diagonal().tolist()
+    if info or not all(map((0.0).__lt__, diag)):  # a NaN pivot fails too
+        j = info - 1 if info else next(i for i, d in enumerate(diag) if not d > 0.0)
+        raise NotPositiveDefinite(f"pivot {diag[j]} at index {j}")
     return r
 
 

@@ -4,24 +4,18 @@ Rates are in bits per channel use (base-2 logs).  The SMP solver returns a
 matrix whose COLUMNS are the successive-minima vectors; the rate functions
 here consume coefficient ROWS, so callers pass the solver output transposed.
 
-The Cholesky solve in `gram_matrix` calls LAPACK dpotrf/dpotrs from scipy's
-compiled extension `scipy/linalg/_flapack`, loaded once at import.  These
-are the very functions `scipy.linalg.lapack` exports and `cho_factor`/
+The Cholesky solve in `gram_matrix` calls LAPACK dpotrf/dpotrs as loaded
+by `matrixcore._load_flapack`, the library's one LAPACK loader: these are
+the very functions `scipy.linalg.lapack` exports and `cho_factor`/
 `cho_solve` run, called with the same arguments, so G has their bits.
-Loading the extension on its own keeps `import ifsmp` from importing
-`scipy.linalg`, whose start-up imports much of numpy that ifsmp never uses.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 
 import numpy as np
-import scipy
 
 from .errors import (
     InvalidPower,
@@ -30,24 +24,7 @@ from .errors import (
     SingularCoefficientMatrix,
     ZeroVector,
 )
-from .matrixcore import _float_array, int_det
-
-
-def _load_flapack():
-    """scipy's compiled LAPACK extension, loaded from its file without
-    importing the `scipy.linalg` package around it."""
-    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    spec = PathFinder.find_spec("_flapack", [linalg_dir])
-    if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension "
-                          f"{os.path.join(linalg_dir, '_flapack')}.*")
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_flapack = _load_flapack()
-dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+from .matrixcore import _float_array, dpotrf, dpotrs, int_det
 
 
 @lru_cache(maxsize=64)

@@ -27,9 +27,8 @@ converted once by ``tolist``, r_bar and z leave the LLL kernel as lists of
 rows, the reduced solver's kernel returns the columns of c_star as tuples
 of ints, and z @ c_star is multiplied in Python ints and converted to
 int64 once, as a_star.  Per-call numpy overhead dominates at small n, so
-lists are faster there.  `gram_matrix` and `cholesky` stay numpy: their
-dot products go through BLAS, whose fused multiply-adds round differently
-from a Python sum, so moving them would change the answers.
+lists are faster there.  `gram_matrix` and `cholesky` stay numpy: both
+factor with LAPACK ``dpotrf``, whose bits a Python loop would not keep.
 
 The pipeline checks its input once: `cholesky` checks G, and R passes the
 diagonal rule of `matrixcore.checked_rows`, the gate of triangular

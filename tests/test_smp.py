@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -355,6 +356,33 @@ class TestSolveSmp:
                 assert int_det(sol.a_star) != 0
                 norms = np.linalg.norm(cholesky(g) @ sol.a_star.astype(float), axis=0)
                 assert list(sol.lambdas) == pytest.approx(list(norms), rel=1e-9)
+
+    def test_rank_deficient_ties_are_exact(self, rng):
+        # with column 1 of H equal to column 0, a and a with its entries 0
+        # and 1 swapped are tied minima, and which one a solve picks
+        # depends on G's last bits.  Columns permuted so that the equal pair
+        # moves (swapping columns 0 and 1 would leave H as it is) must give
+        # the same (||a_k||^2, +-H a_k) per column, exactly:
+        # q(a) = ||a||^2 - (Ha)^T (HH^T + I/P)^-1 (Ha) depends on a only
+        # through that key, so this checks optimality, not the tie's winner
+        def keys(h, a_star):
+            hq = [[Fraction(v) for v in row] for row in h.tolist()]
+            out = []
+            for a in a_star.T.tolist():
+                ha = [sum(x * c for x, c in zip(row, a)) for row in hq]
+                out.append((sum(c * c for c in a), max(ha, [-v for v in ha])))
+            return out
+
+        for nt in (3, 4, 5):
+            perms = [[0, *range(2, nt), 1], list(range(nt))[::-1]]
+            for p_db in (12.0, 20.0, 30.0):
+                p = 10.0 ** (p_db / 10.0)
+                for _ in range(3):
+                    h = duplicated_column(rng, nt)
+                    expected = keys(h, solve_smp(gram_matrix(h, p)).a_star)
+                    for perm in perms:
+                        hp = h[:, perm]
+                        assert keys(hp, solve_smp(gram_matrix(hp, p)).a_star) == expected
 
     def test_near_singular_gram_rejected(self):
         # cholesky accepts it; R's diagonal ratio 1e-15 fails the gate's rule

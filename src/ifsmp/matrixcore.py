@@ -145,8 +145,11 @@ def _check_diagonal(rows: list[list[float]]) -> None:
 def _to_int_rows(m) -> list[list[int]]:
     """m as rows of Python ints; raises PreconditionViolated unless m is a
     nonempty 2-D matrix of integral entries (2.0 is one, 0.5, NaN and 1j
-    are not)."""
-    a = np.asarray(m)
+    are not; ragged rows are no matrix)."""
+    try:
+        a = np.asarray(m)
+    except ValueError:  # a ragged nested sequence
+        raise PreconditionViolated("expected a matrix of integers") from None
     if a.ndim != 2 or not a.size:
         raise PreconditionViolated(f"expected a nonempty 2-D matrix, got shape {a.shape}")
     entries = a.tolist()

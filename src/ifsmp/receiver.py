@@ -24,7 +24,7 @@ from .errors import (
     SingularCoefficientMatrix,
     ZeroVector,
 )
-from .matrixcore import _float_array, dpotrf, dpotrs, int_det
+from .matrixcore import _float_array, _to_int_rows, dpotrf, dpotrs, int_det
 
 
 @lru_cache(maxsize=64)
@@ -106,9 +106,8 @@ def rate_m(a_m, g) -> float:
 def total_rate(a, g) -> float:
     """Total rate N_t * min_m rate_m over the rows of an invertible a;
     raises what `int_det` and `rate_m` raise on a and G."""
-    a = np.asarray(a)
-    if int_det(a) == 0:
+    rows = _to_int_rows(a)
+    if int_det(rows) == 0:
         raise SingularCoefficientMatrix("coefficient matrix must be invertible")
-    n = a.shape[0]
-    return n * min(rate_m(a[m], g) for m in range(n))
+    return len(rows) * min(rate_m(row, g) for row in rows)
 

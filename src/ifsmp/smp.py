@@ -9,12 +9,13 @@ stable insertion point of c, drop column m = max{k : y_k != 0}, or reject
 c when m < i.  adj(C) is kept up to sign as exact integers and updated by
 one rank-one step per accepted leaf, so a leaf costs O(n) per column from
 the last down to i, and an accepted one O(n^2); no leaf re-runs an
-elimination.  The walk never reaches most of the leaves the rule would
-reject: `_subspace_radii` reads off adj(C) which basis columns a vector
-supported on c_0..c_h can replace, and gives that subspace the norm of the
-last of them as its radius.  A leaf beyond it would be inserted after
-every column it could replace, so it is always a rejected one, and
-skipping it leaves every output bit for bit as a flat radius gives it.
+elimination, and `update_basis` builds its adj(C) by the same rule.  The
+walk never reaches most of the leaves the rule would reject:
+`_subspace_radii` reads off adj(C) which basis columns a vector supported
+on c_0..c_h can replace, and gives that subspace the norm of the last of
+them as its radius.  A leaf beyond it would be inserted after every column
+it could replace, so it is always a rejected one, and skipping it leaves
+every output bit for bit as a flat radius gives it.
 `brute_force_smp`, the ground-truth oracle, collects every leaf of one
 fixed-radius search on the same `enumeration._search` engine and selects
 greedily with exact ranks; `baseline_smp` rebuilds the column-by-column
@@ -46,14 +47,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import le, mul
 
 import numpy as np
 
 from .enumeration import _search
 from .errors import DimensionTooLarge, PreconditionViolated, SingularCoefficientMatrix
 from .lll import DEFAULT_DELTA, _lll
-from .matrixcore import _check_diagonal, _int64, checked_rows, cholesky, int_det, int_rank
+from .matrixcore import _check_diagonal, _int64, _to_int_rows, checked_rows, cholesky, int_rank
 
 ORACLE_MAX_DIM = 8  # largest dimension brute_force_smp accepts
 
@@ -118,12 +119,18 @@ def _exchange(cols: list, norms: list, adj: list, d: int, c, norm: float) -> int
     return y_m
 
 
-def _adjugate(cols: list[tuple[int, ...]]) -> list[list[int]]:
-    """adj C, row k belonging to column k: by Cramer's rule, entry (k, j)
-    is det C with column k replaced by e_j."""
+def _exchange_basis(cols: list[tuple[int, ...]]) -> tuple[list[list[int]], int]:
+    """(adj, d) with adj = d * C^-1, by `_exchange`: column k of C is
+    inserted with norm k into the identity, whose columns hold norm inf, so
+    it lands at index k; a rejection means that C is singular."""
     n = len(cols)
-    unit = [tuple(int(r == j) for r in range(n)) for j in range(n)]
-    return [[int_det(cols[:k] + [e] + cols[k + 1:]) for e in unit] for k in range(n)]
+    adj = [[int(r == k) for r in range(n)] for k in range(n)]
+    work, norms, d = [tuple(row) for row in adj], [math.inf] * n, 1
+    for k, col in enumerate(cols):
+        d = _exchange(work, norms, adj, d, col, k)
+        if d is None:
+            raise SingularCoefficientMatrix("working basis is not invertible")
+    return adj, d
 
 
 def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
@@ -134,21 +141,23 @@ def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
     largest index whose removal keeps the extended matrix invertible.  If
     m < i the candidate is a combination of the shorter columns; it is
     dropped and the basis returned unchanged.  This is the rule
-    `solve_rsmp` applies at every leaf.
+    `solve_rsmp` applies at every leaf, and adj(C) is built by it too.
+    Raises PreconditionViolated unless C has n columns of n integers
+    (`matrixcore._to_int_rows`: 2.0 is one, 1.5 is not) with n sorted
+    norms >= 0 (NaN fails) and the candidate is n integers, nonzero, with
+    a norm in [0, norms[-1]);
+    SingularCoefficientMatrix unless C is invertible.
     """
-    if not any(cand.coeffs):
-        raise PreconditionViolated("candidate coefficient vector is zero")
-    if not cand.norm < basis.norms[-1]:
-        raise PreconditionViolated(
-            f"candidate norm {cand.norm} is not below the largest basis norm"
-        )
-    cols = [tuple(int(v) for v in col) for col in basis.cols]
-    d = int_det(cols)
-    if d == 0:
-        raise SingularCoefficientMatrix("working basis is not invertible")
+    *cols, coeffs = map(tuple, _to_int_rows([*basis.cols, cand.coeffs]))
     norms = list(basis.norms)
-    coeffs = [int(v) for v in cand.coeffs]
-    if _exchange(cols, norms, _adjugate(cols), d, coeffs, cand.norm) is None:
+    if not len(coeffs) == len(cols) == len(norms) or not all(map(le, [0, *norms], norms)):
+        raise PreconditionViolated("expected n columns of n integers, n sorted norms >= 0, "
+                                   "and n candidate integers")
+    if not any(coeffs) or not 0 <= cand.norm < norms[-1]:
+        raise PreconditionViolated(f"candidate {coeffs} is zero or its norm {cand.norm} "
+                                   f"is not in [0, {norms[-1]})")
+    adj, d = _exchange_basis(cols)
+    if _exchange(cols, norms, adj, d, coeffs, cand.norm) is None:
         return basis
     return WorkingBasis(cols=tuple(cols), norms=tuple(norms))
 

@@ -62,6 +62,23 @@ def test_exact_half_size_reduction():
     assert res.z.tolist() == [[1, -2], [0, 1]]
 
 
+def test_row_signs_are_normalised(rng):
+    # a +-1 row scaling D belongs to the orthogonal factor: LLL flips the
+    # rows with a negative diagonal entry back first, so D R reduces as R
+    # does, and the reduced solver finds the same minima
+    for _ in range(60):
+        nt = int(rng.integers(1, 9))
+        r = cholesky(random_gram(rng, nt, float(rng.choice([1.0, 10.0, 1000.0]))))
+        signs = rng.choice([-1.0, 1.0], size=nt)
+        signs[rng.integers(nt)] = -1.0
+        flipped = signs[:, None] * r
+        res, ref = lll_reduce(flipped), lll_reduce(r)
+        assert np.array_equal(res.z, ref.z) and np.array_equal(res.r_bar, ref.r_bar)
+        assert (np.diag(res.r_bar) > 0).all()
+        (c_star, lambdas), (c_ref, l_ref) = solve_rsmp(flipped), solve_rsmp(r)
+        assert np.array_equal(c_star, c_ref) and lambdas == l_ref
+
+
 def test_delta_out_of_range():
     with pytest.raises(PreconditionViolated):
         lll_reduce(np.eye(2), 0.25)

@@ -159,12 +159,15 @@ class TestIntDet:
     def test_non_integral_rejected(self):
         # int() would truncate 0.5 to 0 and call an invertible matrix singular
         for m in ([[0.5, 0], [0, 2]], [[1, 0], [0, np.nan]], [[np.inf, 0], [0, 1]],
-                  [[1j, 0], [0, 1]], [["1", "0"], ["0", "1"]]):
+                  [[1j, 0], [0, 1]], [["1", "0"], ["0", "1"]],
+                  # ragged rows, which numpy fails with a bare ValueError
+                  [[1, 0, 0], [0, 1]], [[1], [0, 1]]):
             for f in (int_det, int_rank):
                 with pytest.raises(PreconditionViolated):
                     f(m)
-        with pytest.raises(PreconditionViolated):
-            total_rate([[0.5, 0], [0, 2]], 0.25 * np.eye(2))
+        for a in ([[0.5, 0], [0, 2]], [[1, 0, 0], [0, 1]]):
+            with pytest.raises(PreconditionViolated):
+                total_rate(a, 0.25 * np.eye(2))
         # integral floats and Python ints beyond int64 stay exact
         assert int_det([[2.0, 0.0], [0.0, 2.0]]) == 4
         assert int_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1

@@ -155,8 +155,10 @@ class TestRates:
         for a in ([1, 0, 0], [[1, 0]], 1):
             with pytest.raises(PreconditionViolated):
                 rate_m(a, np.eye(2))
-        with pytest.raises(PreconditionViolated):
-            total_rate(np.eye(3, dtype=int), 0.25 * np.eye(2))
+        # a 3x3 or a ragged coefficient matrix for a 2x2 G
+        for a in (np.eye(3, dtype=int), [[1, 0, 0], [0, 1]]):
+            with pytest.raises(PreconditionViolated):
+                total_rate(a, 0.25 * np.eye(2))
 
     def test_non_real_rejected(self):
         # checked before the cast to float, which would drop 1j silently

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_gram, random_reduced_basis
 from ifsmp import (
@@ -27,8 +29,8 @@ from ifsmp import enumeration, lll, matrixcore, smp
 from ifsmp.bench import REDUCED_SOLVERS
 from ifsmp.enumeration import _search
 from ifsmp.smp import (
-    _adjugate,
     _exchange,
+    _exchange_basis,
     _identity_norms,
     _int_matmul,
     _pipeline,
@@ -49,6 +51,41 @@ def largest_removable(cols, norms, cand, cand_norm):
         if int_det(np.array(trimmed).T) != 0:
             return trimmed, [v for idx, v in enumerate(tilde_norms) if idx != j]
     raise AssertionError("no removable column")
+
+
+def cramer_adjugate(cols):
+    """adj C, row k belonging to column k, by Cramer's rule: entry (k, j)
+    is det C with column k replaced by e_j."""
+    n = len(cols)
+    unit = [tuple(int(r == j) for r in range(n)) for j in range(n)]
+    return [[int_det(cols[:k] + [e] + cols[k + 1:]) for e in unit] for k in range(n)]
+
+
+def assert_inverse(adj, d, cols):
+    """adj C = d I, exactly, for the columns of C."""
+    n = len(cols)
+    c_mat = np.array(cols, dtype=object).T
+    assert (np.array(adj, dtype=object) @ c_mat == d * np.eye(n, dtype=int)).all()
+
+
+@st.composite
+def basis_and_candidate(draw):
+    """A basis of n columns with entries in -3..3 (singular ones included),
+    sorted integer norms with ties, and a nonzero candidate with a smaller
+    integer norm: half drawn freely, half a combination of leading columns."""
+    n = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    cols = [tuple(draw(entries)) for _ in range(n)]
+    norms = sorted(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    assume(norms[-1] > 1)
+    if draw(st.booleans()):
+        cand = draw(entries)
+    else:
+        mix = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=n))
+        cand = [sum(w * col[r] for w, col in zip(mix, cols)) for r in range(n)]
+    assume(any(cand))
+    cand_norm = draw(st.integers(1, norms[-1] - 1))
+    return cols, [float(v) for v in norms], tuple(cand), float(cand_norm)
 
 
 def flat_radius_rsmp(rows):
@@ -108,6 +145,9 @@ class TestUpdateBasis:
         basis = basis_of(np.diag([1.0, 2.0]), [(1, 0), (0, 1)])
         with pytest.raises(PreconditionViolated):
             update_basis(basis, Candidate(coeffs=(3, 0), norm=3.0))
+        # a negative norm is no length
+        with pytest.raises(PreconditionViolated):
+            update_basis(basis, Candidate(coeffs=(1, 1), norm=-5.0))
 
     def test_zero_candidate_rejected(self):
         basis = basis_of(np.diag([1.0, 2.0]), [(1, 0), (0, 1)])
@@ -118,6 +158,40 @@ class TestUpdateBasis:
         basis = WorkingBasis(cols=((1, 1), (2, 2)), norms=(1.0, 2.0))
         with pytest.raises(SingularCoefficientMatrix):
             update_basis(basis, Candidate(coeffs=(1, 0), norm=1.0))
+
+    @pytest.mark.parametrize("cols, norms, coeffs, match", [
+        # int() would truncate the column to (1, 0) and the candidate to
+        # (0, 1), and insert it
+        (((1.5, 0.0), (0, 1)), (1.0, 2.0), (0.7, 1.2), "integer"),
+        # int() would read (0, 0) and return the basis silently
+        (((1, 0), (0, 1)), (1.0, 2.0), (0.5, 0.5), "integer"),
+        # a candidate longer than the columns, or a ragged basis
+        (((1, 0), (0, 1)), (1.0, 2.0), (1, 1, 1), "integer"),
+        (((1, 0, 0), (0, 1)), (1.0, 2.0), (1, 1), "integer"),
+        # one norm for two columns, unsorted norms, a NaN or negative norm
+        (((1, 0), (0, 1)), (2.0,), (1, 1), "sorted norms"),
+        (((1, 0), (0, 1)), (2.0, 1.0), (1, 1), "sorted norms"),
+        (((1, 0), (0, 1)), (math.nan, 2.0), (1, 1), "sorted norms"),
+        (((1, 0), (0, 1)), (-1.0, 2.0), (1, 1), "sorted norms"),
+    ], ids=["float-column", "float-candidate", "long-candidate", "ragged-basis",
+            "missing-norm", "unsorted-norms", "nan-norm", "negative-norm"])
+    def test_malformed_input_rejected(self, cols, norms, coeffs, match):
+        basis = WorkingBasis(cols=cols, norms=norms)
+        with pytest.raises(PreconditionViolated, match=match):
+            update_basis(basis, Candidate(coeffs=coeffs, norm=1.5))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(basis_and_candidate())
+    def test_matches_exhaustive_determinants(self, case):
+        cols, norms, cand, cand_norm = case
+        basis = WorkingBasis(cols=tuple(cols), norms=tuple(norms))
+        if int_det(cols) == 0:
+            with pytest.raises(SingularCoefficientMatrix):
+                update_basis(basis, Candidate(coeffs=cand, norm=cand_norm))
+            return
+        out = update_basis(basis, Candidate(coeffs=cand, norm=cand_norm))
+        expected_cols, expected_norms = largest_removable(cols, norms, cand, cand_norm)
+        assert out == WorkingBasis(cols=tuple(expected_cols), norms=tuple(expected_norms))
 
     def test_replaces_longest_dependent_prefix(self):
         # basis {(1,0),(1,1)} under diag(1,2); candidate (0,1) lands in the
@@ -181,7 +255,12 @@ class TestUpdateBasis:
                     break
             cols = [tuple(int(v) for v in c_mat[:, k]) for k in range(n)]
             norms = sorted(float(v) for v in rng.integers(1, 6, size=n))
-            adj, d = _adjugate(cols), int_det(cols)
+            # the exchange-built start is Cramer's adjugate up to sign
+            adj, d = _exchange_basis(cols)
+            det = int_det(cols)
+            assert d in (det, -det)
+            assert adj == [[d // det * v for v in row] for row in cramer_adjugate(cols)]
+            assert_inverse(adj, d, cols)
             for _ in range(10):
                 if norms[-1] == 1.0:
                     break
@@ -203,8 +282,7 @@ class TestUpdateBasis:
                     continue
                 accepted += 1
                 d = new_d
-                c_now = np.array(cols, dtype=object).T
-                assert (np.array(adj, dtype=object) @ c_now == d * np.eye(n, dtype=int)).all()
+                assert_inverse(adj, d, cols)
         assert accepted > 100 and rejected > 100
 
 

@@ -11,11 +11,13 @@ nearest integer gives |r_ik| <= r_ii / 2, whatever the tie rule.
 The one implementation, the kernel `_lll`, runs on Python lists: the
 columns of r_bar as floats and the columns of Z as exact Python ints, so a
 step costs no numpy scalar access or fancy indexing and Z cannot overflow.
-It trusts its input rows and returns lists of rows, which `smp._pipeline`
-hands straight to the reduced solver.  `lll_reduce` is the public
-ndarray wrapper: it checks delta (the pipeline always runs at
-DEFAULT_DELTA) and passes R through the gate of every public triangular
-input, `matrixcore.checked_rows`, before it calls the kernel.
+It trusts its input rows and returns r_bar as a list of rows, which
+`smp._pipeline` hands straight to the reduced solver, and z as the list of
+its columns, from which `smp._unreduce` gathers a_star.  `lll_reduce` is
+the public ndarray wrapper, which transposes z once: it checks delta (the
+pipeline always runs at DEFAULT_DELTA) and passes R through the gate of
+every public triangular input, `matrixcore.checked_rows`, before it calls
+the kernel.
 """
 
 from __future__ import annotations
@@ -58,13 +60,14 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     if not 0.25 < delta <= 1.0:
         raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
     r_bar, z = _lll(checked_rows(r), delta)
-    return LllResult(r_bar=np.array(r_bar), z=_int64(z))
+    return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
 
 
 def _lll(rows: list[list[float]], delta: float) -> tuple[list[list[float]], list[list[int]]]:
     """The LLL kernel: `lll_reduce` on rows that pass `checked_rows`'s rules
     (it may flip the signs of some of them in place), for a delta in
-    (1/4, 1]; returns the rows of r_bar (floats) and of z (Python ints)."""
+    (1/4, 1]; returns the rows of r_bar (floats) and the columns of z
+    (Python ints)."""
     n = len(rows)
 
     # normalize diagonal signs up front (sign flips live in Q)
@@ -99,7 +102,8 @@ def _lll(rows: list[list[float]], delta: float) -> tuple[list[list[float]], list
                 v[k - 1] = c * x + s * y
                 v[k] = s * x - c * y
             col[k] = 0.0
-            k = max(k - 1, 1)
+            if k > 1:
+                k -= 1
         else:
             for i in range(k - 2, -1, -1):
                 mu = round(col[i] / cols[i][i])
@@ -107,4 +111,4 @@ def _lll(rows: list[list[float]], delta: float) -> tuple[list[list[float]], list
                     col[: i + 1] = [x - mu * y for x, y in zip(col[: i + 1], cols[i])]
                     z[k] = [x - mu * y for x, y in zip(z[k], z[i])]
             k += 1
-    return [list(row) for row in zip(*cols)], [list(row) for row in zip(*z)]
+    return [list(row) for row in zip(*cols)], z

@@ -80,6 +80,25 @@ def gram_matrix(h, p: float) -> np.ndarray:
     return (g + g.T) / 2
 
 
+def _checked_gram(g, n: int) -> np.ndarray:
+    """G as a float array; raises PreconditionViolated unless it is a real,
+    finite n x n matrix."""
+    g = _float_array(g)
+    if g.shape != (n, n):
+        raise PreconditionViolated(f"expected a square G as wide as a, got shape {g.shape}")
+    if not _finite(g):
+        raise PreconditionViolated("G has a NaN or infinite entry")
+    return g
+
+
+def _rate(quad: float) -> float:
+    """max(0, log2(1 / q) / 2) for q = a^T G a; raises PreconditionViolated
+    unless q > 0."""
+    if not quad > 0:
+        raise PreconditionViolated(f"a^T G a = {quad} is not positive")
+    return max(0.0, -0.5 * math.log2(quad))
+
+
 def rate_m(a_m, g) -> float:
     """Per-stream achievable rate max(0, log2(1 / a^T G a) / 2).
 
@@ -92,22 +111,17 @@ def rate_m(a_m, g) -> float:
         raise ZeroVector("coefficient vector must be nonzero")
     if a_m.ndim != 1:
         raise PreconditionViolated(f"expected a 1-D coefficient vector, got shape {a_m.shape}")
-    g = _float_array(g)
-    if g.shape != a_m.shape * 2:
-        raise PreconditionViolated(f"expected a square G as wide as a, got shape {g.shape}")
-    if not _finite(g):
-        raise PreconditionViolated("G has a NaN or infinite entry")
-    quad = float(a_m @ g @ a_m)
-    if not quad > 0:
-        raise PreconditionViolated(f"a^T G a = {quad} is not positive")
-    return max(0.0, -0.5 * math.log2(quad))
+    g = _checked_gram(g, a_m.size)
+    return _rate(float(a_m @ g @ a_m))
 
 
 def total_rate(a, g) -> float:
     """Total rate N_t * min_m rate_m over the rows of an invertible a;
-    raises what `int_det` and `rate_m` raise on a and G."""
+    raises what `int_det` and `rate_m` raise on a and G.  G is checked
+    once, and each row's a^T G a is the product `rate_m` forms."""
     rows = _to_int_rows(a)
     if int_det(rows) == 0:
         raise SingularCoefficientMatrix("coefficient matrix must be invertible")
-    return len(rows) * min(rate_m(row, g) for row in rows)
-
+    floats = _float_array(rows)
+    g = _checked_gram(g, len(rows))
+    return len(rows) * min(_rate(float(a_m @ g @ a_m)) for a_m in floats)

@@ -9,7 +9,9 @@ stable insertion point of c, drop column m = max{k : y_k != 0}, or reject
 c when m < i.  adj(C) is kept up to sign as exact integers and updated by
 one rank-one step per accepted leaf, so a leaf costs O(n) per column from
 the last down to i, and an accepted one O(n^2); no leaf re-runs an
-elimination, and `update_basis` builds its adj(C) by the same rule.  The
+elimination, and `update_basis` builds its adj(C) by the same rule.  A
+leaf equal to a basis column, most leaves on the benchmark channels, is
+moved or rejected in O(n) with no dot product (`_exchange`).  The
 walk never reaches most of the leaves the rule would reject:
 `_subspace_radii` reads off adj(C) which basis columns a vector supported
 on c_0..c_h can replace, and gives that subspace the norm of the last of
@@ -24,10 +26,12 @@ approach of prior solvers.  Every solver reaches the tree walk through
 through `_pipeline`.
 
 Between Cholesky and a_star the pipeline works on Python lists: R is
-converted once by ``tolist``, r_bar and z leave the LLL kernel as lists of
-rows, the reduced solver's kernel returns the columns of c_star as tuples
-of ints, and z @ c_star is multiplied in Python ints and converted to
-int64 once, as a_star.  Per-call numpy overhead dominates at small n, so
+converted once by ``tolist``, r_bar leaves the LLL kernel as a list of
+rows and z as a list of columns, the reduced solver's kernel returns the
+columns of c_star as tuples of ints, and each column of a_star is
+gathered in Python ints from the columns of z, as the sum of c_k z_k
+over the nonzero entries c_k of its column of c_star, and converted to
+int64 once.  Per-call numpy overhead dominates at small n, so
 lists are faster there.  `gram_matrix` and `cholesky` stay numpy: both
 factor with LAPACK ``dpotrf``, whose bits a Python loop would not keep.
 
@@ -46,6 +50,7 @@ floating-point rank tests anywhere.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from operator import le, mul
 
@@ -92,12 +97,27 @@ def _exchange(cols: list, norms: list, adj: list, d: int, c, norm: float) -> int
     adj = d * C^-1 (row k of adj belongs to column k of C) and a candidate
     c with norm below norms[-1].  On acceptance the lists are updated in
     place by an exact rank-one step and the new scale d' = y_m is returned;
-    on rejection nothing changes and None is returned."""
-    n = len(cols)
+    on rejection nothing changes and None is returned.
+
+    A candidate equal to column m is a move: adj C = d I gives
+    y = adj c = d e_m exactly, so the rule rejects it when m < i and
+    otherwise puts c at i by a rank-one step that changes no adj row and
+    keeps d; column m, with the candidate's norm, and adj row m go to i
+    with no dot product.  A negated column flips the signs of adj and d,
+    so it takes the step."""
     # stable insertion: equal-norm incumbents stay ahead of the newcomer
-    i = 0
-    while i < n and norms[i] <= norm:
-        i += 1
+    i = bisect_right(norms, norm)
+    col = tuple(c)
+    if col in cols:
+        m = cols.index(col)
+        if m < i:
+            return None
+        del cols[m], norms[m]
+        cols.insert(i, col)
+        norms.insert(i, norm)
+        adj.insert(i, adj.pop(m))
+        return d
+    n = len(cols)
     for m in range(n - 1, i - 1, -1):
         y_m = sum(map(mul, adj[m], c))
         if y_m:
@@ -113,7 +133,7 @@ def _exchange(cols: list, norms: list, adj: list, d: int, c, norm: float) -> int
     for k in range(m + 1, n):
         adj[k] = [y_m * a // d for a in adj[k]]
     del cols[m], norms[m], adj[m]
-    cols.insert(i, tuple(c))
+    cols.insert(i, col)
     norms.insert(i, norm)
     adj.insert(i, row_m)
     return y_m
@@ -197,7 +217,8 @@ def _subspace_radii(norms: list[float], adj: list[list[int]]) -> list[float]:
     radii = []
     j = -1  # j_h - 1
     for h in range(n):
-        j = max(j, last[h])
+        if last[h] > j:
+            j = last[h]
         radii.append(cap if j == n - 1 else min(norms[j] ** 2 * _RADIUS_PAD, cap))
     return radii
 
@@ -230,10 +251,11 @@ def _rsmp(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
     n = len(rows)
     # permuted identity columns sorted by ||r_bar e_k|| (stable)
     col_norms = _identity_norms(rows)
-    order = sorted(range(n), key=lambda k: col_norms[k])
-    cols = [(0,) * k + (1,) + (0,) * (n - 1 - k) for k in order]
-    norms = [col_norms[k] for k in order]
-    adj = [list(col) for col in cols]  # C^-1 = C^T for a permutation
+    adj = [[0] * n for _ in rows]  # C^-1 = C^T for a permutation
+    for row, k in zip(adj, sorted(range(n), key=col_norms.__getitem__)):
+        row[k] = 1
+    cols = list(map(tuple, adj))
+    norms = sorted(col_norms)
     d = 1
 
     def on_leaf(c: list[int], norm_sq: float) -> list[float] | None:
@@ -298,17 +320,29 @@ def _gated(kernel, r_bar) -> tuple[np.ndarray, list[float]]:
     return _int64(cols).T, norms
 
 
-def _unreduce(z: list[list[int]], c_cols) -> np.ndarray:
-    """z @ C in Python ints, from the rows of z and the columns of C; the
-    int64 result conversion raises CoefficientOverflow."""
-    return _int64([[sum(map(mul, row, col)) for col in c_cols] for row in z])
+def _unreduce(z: list, c_cols) -> np.ndarray:
+    """z @ C in Python ints, from the columns of z and of C: column j of
+    the product is the sum of c_kj z_k over the nonzero c_kj, so a unit
+    column of C takes a column of z as it is.  The int64 result conversion
+    raises CoefficientOverflow."""
+    a_cols = []
+    for col in c_cols:
+        acc = None
+        for c_k, z_k in zip(col, z):
+            if c_k:
+                if acc is None:
+                    acc = z_k if c_k == 1 else [c_k * v for v in z_k]
+                else:
+                    acc = [a + c_k * v for a, v in zip(acc, z_k)]
+        a_cols.append([0] * len(z[0]) if acc is None else acc)
+    return _int64(list(zip(*a_cols)))
 
 
 def _int_matmul(a, b) -> np.ndarray:
     """Exact product of integer matrices (ndarrays or lists of rows) in
     Python ints; the int64 result conversion raises CoefficientOverflow."""
     a_rows, b_rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in (a, b))
-    return _unreduce(a_rows, list(zip(*b_rows)))
+    return _unreduce(list(zip(*a_rows)), list(zip(*b_rows)))
 
 
 def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:

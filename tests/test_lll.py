@@ -17,6 +17,7 @@ from ifsmp import (
     lll_reduce,
     solve_rsmp,
 )
+from ifsmp.lll import _lll
 
 
 # successive minima 0.510 / 0.568 / 0.723
@@ -77,6 +78,23 @@ def test_row_signs_are_normalised(rng):
         assert (np.diag(res.r_bar) > 0).all()
         (c_star, lambdas), (c_ref, l_ref) = solve_rsmp(flipped), solve_rsmp(r)
         assert np.array_equal(c_star, c_ref) and lambdas == l_ref
+
+
+def test_z_rows_from_kernel_columns(rng):
+    # the kernel keeps z as columns; lll_reduce transposes them once into a
+    # C-ordered int64 matrix whose column k takes R to column k of r_bar
+    inputs = [cholesky(random_gram(rng, n)) for n in range(1, 9) for _ in range(5)]
+    inputs.append(np.array([[1.0, 0.75], [0.0, 0.5]]))  # one swap
+    for r in inputs:
+        res = lll_reduce(r)
+        _, z_cols = _lll(r.tolist(), 0.75)
+        assert res.z.dtype == np.int64 and res.z.flags.c_contiguous
+        assert res.z.tolist() == [list(row) for row in zip(*z_cols)]
+        np.testing.assert_allclose(np.linalg.norm(r @ res.z, axis=0),
+                                   np.linalg.norm(res.r_bar, axis=0), rtol=1e-12)
+    # hand-traced: mu = 1 gives column (-1, 1), of norm 0.559 < 1, and the
+    # swap puts it first; the second column then reduces to (0, 1)
+    assert lll_reduce(np.array([[1.0, 0.75], [0.0, 0.5]])).z.tolist() == [[-1, 0], [1, 1]]
 
 
 def test_delta_out_of_range():

@@ -169,6 +169,36 @@ class TestRates:
             with pytest.raises(PreconditionViolated):
                 rate_m([1, 0], g)
 
+    def test_total_rate_checks_g_once(self):
+        # G is checked before any row's product: a NaN or infinite entry, a
+        # non-real or misshapen G raises whichever rows a holds, and a later
+        # row with a^T G a <= 0 raises too
+        for a in (np.eye(2, dtype=int), [[1, 1], [0, 1]], [[0, 1], [1, 0]]):
+            for g in ([[0.25, 0.0], [0.0, np.nan]], [[0.25, np.inf], [np.inf, 0.25]],
+                      *NOT_REAL, 0.25 * np.eye(3), np.ones((2, 3)), [0.25, 0.25], 0.25):
+                with pytest.raises(PreconditionViolated):
+                    total_rate(a, g)
+        with pytest.raises(PreconditionViolated, match="not positive"):
+            total_rate(np.eye(2, dtype=int), [[0.25, 0.0], [0.0, -1.0]])
+
+    def test_total_rate_is_the_row_minimum_bit_for_bit(self, rng):
+        # one G check, then each row's a^T G a as rate_m forms it
+        cases = []
+        for nt in range(1, 9):
+            for p_db in (0.0, 10.0, 20.0, 30.0):
+                h = rng.standard_normal((nt, nt))
+                if nt > 1 and p_db > 10.0:
+                    h[:, 1] = h[:, 0]
+                g = gram_matrix(h, 10.0 ** (p_db / 10.0))
+                cases.append((solve_smp(g).a_star.T, g))
+                a = rng.integers(-3, 4, size=(nt, nt))
+                if round(np.linalg.det(a)) != 0:
+                    cases.append((a, g))
+        for a, g in cases:
+            expected = len(a) * min(rate_m(row, g) for row in a)
+            assert total_rate(a, g).hex() == expected.hex()
+            assert total_rate(a.tolist(), g.tolist()).hex() == expected.hex()
+
     def test_total_rate(self):
         assert total_rate(np.eye(2, dtype=int), 0.25 * np.eye(2)) == pytest.approx(2.0)
         assert total_rate(np.eye(2, dtype=int), np.eye(2)) == 0.0

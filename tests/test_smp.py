@@ -88,6 +88,71 @@ def basis_and_candidate(draw):
     return cols, [float(v) for v in norms], tuple(cand), float(cand_norm)
 
 
+def generic_exchange(cols, norms, adj, d, c, norm):
+    """The basis-update rule with the rank-one step for every accepted
+    candidate, re-found basis columns included: the reference for
+    `_exchange`'s move."""
+    n = len(cols)
+    i = 0
+    while i < n and norms[i] <= norm:
+        i += 1
+    for m in range(n - 1, i - 1, -1):
+        y_m = sum(a * b for a, b in zip(adj[m], c))
+        if y_m:
+            break
+    else:
+        return None
+    row_m = adj[m]
+    for k in range(m):
+        row = adj[k]
+        y_k = sum(a * b for a, b in zip(row, c))
+        adj[k] = [(y_m * a - y_k * b) // d for a, b in zip(row, row_m)]
+    for k in range(m + 1, n):
+        adj[k] = [y_m * a // d for a in adj[k]]
+    del cols[m], norms[m], adj[m]
+    cols.insert(i, tuple(c))
+    norms.insert(i, norm)
+    adj.insert(i, row_m)
+    return y_m
+
+
+@st.composite
+def basis_and_refound_column(draw):
+    """A sorted basis with its (adj, d), built by chains of accepts of the
+    generic rule so that |d| > 1, and a candidate equal to a basis column
+    (or its negative) with a norm below, equal to or above that column's."""
+    n = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    # insert columns with norms 0..n-1 into the identity (norms inf): a
+    # chain of accepts that ends at adj = d C^-1 with d = +-det C
+    cols = [tuple(int(r == k) for r in range(n)) for k in range(n)]
+    adj, norms, d = [list(col) for col in cols], [math.inf] * n, 1
+    for k in range(n):
+        d = generic_exchange(cols, norms, adj, d, tuple(draw(entries)), float(k))
+        assume(d is not None)
+    norms = [float(v) for v in sorted(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)))]
+    assume(norms[-1] > 1)
+    for _ in range(draw(st.integers(0, 3))):  # further accepts or rejects
+        if norms[-1] <= 1:
+            break
+        cand = tuple(draw(entries))
+        if any(cand):
+            new_d = generic_exchange(cols, norms, adj, d, cand,
+                                     float(draw(st.integers(0, int(norms[-1]) - 1))))
+            d = d if new_d is None else new_d
+    assume(abs(d) > 1)
+    m = draw(st.integers(0, n - 1))
+    where = draw(st.sampled_from(["below", "equal", "above"]))
+    half = [v / 2 for v in range(2 * int(norms[-1]))]  # the norms below norms[-1]
+    pool = {"below": [v for v in half if v < norms[m]],
+            "equal": [norms[m]] if norms[m] < norms[-1] else [],
+            "above": [v for v in half if v > norms[m]]}[where]
+    assume(pool)
+    sign = draw(st.sampled_from([1, 1, -1]))
+    cand = [sign * v for v in cols[m]]
+    return cols, norms, adj, d, cand, draw(st.sampled_from(pool))
+
+
 def flat_radius_rsmp(rows):
     """The kernel of `solve_rsmp` with one flat radius: `_search` at
     [norms[-1]^2] * n, reset on every accept, plus the `_exchange` rule."""
@@ -285,6 +350,21 @@ class TestUpdateBasis:
                 assert_inverse(adj, d, cols)
         assert accepted > 100 and rejected > 100
 
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(basis_and_refound_column())
+    def test_refound_column_move_matches_generic_rule(self, case):
+        # a column of C found again is moved (or rejected) without a
+        # rank-one step; cols, norms, adj and d must be what the generic
+        # rule gives, and a negated column must take the generic path
+        cols, norms, adj, d, cand, cand_norm = case
+        state = [list(cols), list(norms), [row[:] for row in adj]]
+        expected = [list(cols), list(norms), [row[:] for row in adj]]
+        got = _exchange(*state, d, cand, cand_norm)
+        assert got == generic_exchange(*expected, d, cand, cand_norm)
+        assert state == expected
+        if got is not None:
+            assert_inverse(state[2], got, state[0])
 
 class TestSolveRsmp:
     def test_unit_lattice(self):
@@ -595,3 +675,48 @@ def test_int64_overflow_is_typed():
         enumeration.enumerate_below(r, 1.5, lambda c: None)
     with pytest.raises(CoefficientOverflow):
         WorkingBasis(cols=((2**70, 0), (0, 1)), norms=(1.0, 2.0)).matrix()
+
+
+def dense_product(a_rows, b_rows):
+    """a @ b in Python ints, entry by entry."""
+    return [[sum(a_rows[r][k] * b_rows[k][j] for k in range(len(b_rows)))
+             for j in range(len(b_rows[0]))] for r in range(len(a_rows))]
+
+
+def test_unreduce_gathers_the_dense_product(rng):
+    # columns of C: unit (the common case), a scaled unit, mixed with zero
+    # entries, dense, and all zero
+    for _ in range(200):
+        p, q = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        z = [[int(v) for v in rng.integers(-9, 10, size=q)] for _ in range(p)]
+        c_cols = []
+        for kind in rng.integers(0, 5, size=int(rng.integers(1, 7))):
+            col = [0] * q
+            k = int(rng.integers(0, q))
+            if kind == 0:
+                col[k] = 1
+            elif kind == 1:
+                col[k] = int(rng.choice([-3, -1, 2, 5]))
+            elif kind == 2:
+                col = [int(v) * int(rng.random() < 0.5) for v in rng.integers(-4, 5, size=q)]
+            elif kind == 3:
+                col = [int(v) for v in rng.integers(-4, 5, size=q)]
+            c_cols.append(col)
+        c_rows = [list(row) for row in zip(*c_cols)]
+        expected = dense_product(z, c_rows)
+        z_cols = [list(col) for col in zip(*z)]
+        for got in (smp._unreduce(z_cols, c_cols), _int_matmul(z, c_rows),
+                    _int_matmul(np.array(z), np.array(c_rows))):
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.tolist() == expected
+
+
+def test_unreduce_overflow_is_typed():
+    # each factor fits int64; the sums reach 2^63 and -2^63 - 1
+    z_cols = [[2**62, -2**62], [2**62, -2**62 - 1]]
+    for c_col in ([1, 1], [2, 0], [0, 2]):
+        with pytest.raises(CoefficientOverflow):
+            smp._unreduce(z_cols, [c_col])
+    assert smp._unreduce(z_cols, [[1, 0], [1, -1]]).tolist() == [[2**62, 0], [-2**62, 1]]
+    with pytest.raises(CoefficientOverflow):
+        _int_matmul(np.array([[2**62, 2**62]]), np.array([[1], [1]]))

@@ -11,6 +11,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSymmetric,
     PreconditionViolated,
+    SearchBudgetExceeded,
     SingularCoefficientMatrix,
     SingularInput,
     ZeroVector,

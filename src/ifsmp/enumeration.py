@@ -15,6 +15,16 @@ zig-zag still visits siblings in nondecreasing distance under any tie
 rule.  Radius comparisons are raw strict ``<`` comparisons: vectors at
 exactly the radius are excluded.
 
+The walk starts at its first real node, level 0 with c = 0.  Descending
+to it from level n-1, as the textbook walk does, follows the all-zero
+path: every centre there is +-0.0, every partial distance 0.0, and every
+caller's radii are positive, so each descent passes and ends in the state
+the walk is initialised with.  The one difference, d_k = +0.0 where the
+descent computes -0.0, never shows: c_k - d_k is the same float either
+way.  Starting at level 0 saves n-1 descents per walk and changes no leaf,
+no norm bit and no visit count; with a radius <= 0 or NaN both walks
+return 0 visits.
+
 The radius is per subspace: the caller passes one squared radius per
 "highest nonzero coordinate" h, nondecreasing in h, and a vector whose
 last nonzero entry is c_h is a candidate only below radii[h].  The walk
@@ -60,7 +70,11 @@ def _search(
     s = [1] * n
     dist = [0.0] * n  # dist[k] = sum_{j>k} r_jj^2 (c_j - d_j)^2
     visits = 0
-    k = n - 1  # d_{n-1} = 0 always; start at c_{n-1} = 0
+    # start at level 0 on the all-zero path: the descent to it from level
+    # n-1 passes every test (lhs = 0, dist = 0, positive radii) and ends in
+    # this state, up to centres of -0.0 where d holds +0.0, which no step
+    # can tell apart (module docstring)
+    k = 0
     top = -1  # highest nonzero index of c[k:]; any value below k: c[k:] == 0
     while True:
         rkk = rows[k][k]

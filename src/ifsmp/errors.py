@@ -41,5 +41,10 @@ class CoefficientOverflow(IfsmpError, OverflowError):
     """An exact integer result does not fit the int64 array it is returned in."""
 
 
+class SearchBudgetExceeded(IfsmpError, RuntimeError):
+    """A search or reduction reached its step cap, or ended without the
+    result it is bound to find."""
+
+
 class ConfigError(IfsmpError):
     """Benchmark configuration violates its invariants."""

@@ -11,13 +11,17 @@ nearest integer gives |r_ik| <= r_ii / 2, whatever the tie rule.
 The one implementation, the kernel `_lll`, runs on Python lists: the
 columns of r_bar as floats and the columns of Z as exact Python ints, so a
 step costs no numpy scalar access or fancy indexing and Z cannot overflow.
-It trusts its input rows and returns r_bar as a list of rows, which
+It takes the columns of R, which it reduces in place, and trusts them to
+have a positive diagonal.  Z starts as the shared unit columns
+`matrixcore._units(n)`, tuples that a step replaces and never writes to.
+The kernel returns r_bar as its rows, the tuples ``zip`` makes, which
 `smp._pipeline` hands straight to the reduced solver, and z as the list of
-its columns, from which `smp._unreduce` gathers a_star.  `lll_reduce` is
-the public ndarray wrapper, which transposes z once: it checks delta (the
-pipeline always runs at DEFAULT_DELTA) and passes R through the gate of
-every public triangular input, `matrixcore.checked_rows`, before it calls
-the kernel.
+its columns, from which `smp._unreduce` gathers a_star; every consumer
+only reads them.  `lll_reduce` is the public ndarray wrapper: it checks
+delta (the pipeline always runs at DEFAULT_DELTA), passes R through the
+gate of every public triangular input, `matrixcore.checked_rows`, flips
+the rows with a negative diagonal entry (`_pipeline`'s R from Cholesky has
+none), and transposes z once.
 """
 
 from __future__ import annotations
@@ -27,10 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolated
-from .matrixcore import _int64, checked_rows
+from .errors import PreconditionViolated, SearchBudgetExceeded
+from .matrixcore import _int64, _units, checked_rows
 
 DEFAULT_DELTA = 0.75
+
+
+def _sweep_cap(n: int) -> int:
+    """The most loop steps `_lll` takes at dimension n before it raises
+    SearchBudgetExceeded."""
+    return max(1000, 640 * n * n)
 
 
 @dataclass(frozen=True)
@@ -59,31 +69,33 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     """
     if not 0.25 < delta <= 1.0:
         raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
-    r_bar, z = _lll(checked_rows(r), delta)
-    return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
-
-
-def _lll(rows: list[list[float]], delta: float) -> tuple[list[list[float]], list[list[int]]]:
-    """The LLL kernel: `lll_reduce` on rows that pass `checked_rows`'s rules
-    (it may flip the signs of some of them in place), for a delta in
-    (1/4, 1]; returns the rows of r_bar (floats) and the columns of z
-    (Python ints)."""
-    n = len(rows)
-
+    rows = checked_rows(r)
     # normalize diagonal signs up front (sign flips live in Q)
     for i, row in enumerate(rows):
         if row[i] < 0:
             row[i:] = [-v for v in row[i:]]
-    cols = [list(col) for col in zip(*rows)]
-    z = [[0] * k + [1] + [0] * (n - 1 - k) for k in range(n)]  # columns
+    r_bar, z = _lll([list(col) for col in zip(*rows)], delta)
+    return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
 
-    max_sweeps = max(1000, 10 * n * n * 64)
+
+def _lll(cols: list[list[float]], delta: float) -> tuple[list[tuple[float, ...]], list]:
+    """The LLL kernel: `lll_reduce` on the columns of an R that passes
+    `checked_rows`'s rules and has a positive diagonal, for a delta in
+    (1/4, 1].  The columns are reduced in place.  Returns the rows of r_bar
+    as tuples of floats and the columns of z as sequences of Python ints:
+    z starts from the shared `_units(n)`, whose tuples a step replaces with
+    lists and never writes to.  Raises SearchBudgetExceeded after
+    `_sweep_cap(n)` steps."""
+    n = len(cols)
+    z = list(_units(n))  # columns, replaced on change, never written to
+
+    max_sweeps = _sweep_cap(n)
     sweeps = 0
     k = 1
     while k < n:
         sweeps += 1
         if sweeps > max_sweeps:
-            raise RuntimeError("LLL iteration cap exceeded")
+            raise SearchBudgetExceeded(f"LLL took more than {max_sweeps} steps")
         col, prev = cols[k], cols[k - 1]
         mu = round(col[k - 1] / prev[k - 1])
         if mu:
@@ -111,4 +123,4 @@ def _lll(rows: list[list[float]], delta: float) -> tuple[list[list[float]], list
                     col[: i + 1] = [x - mu * y for x, y in zip(col[: i + 1], cols[i])]
                     z[k] = [x - mu * y for x, y in zip(z[k], z[i])]
             k += 1
-    return [list(row) for row in zip(*cols)], z
+    return list(zip(*cols)), z

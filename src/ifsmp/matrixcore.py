@@ -3,9 +3,14 @@
 Real matrices enter as ``numpy.ndarray`` (float64).  A triangular matrix
 passed to a public reduction, enumeration or reduced-solver entry point
 passes one gate, `checked_rows`, which returns it as a list of rows of
-Python floats.  The solve pipeline builds its triangular factor itself
-with `cholesky` and applies only the gate's diagonal rule,
-`_check_diagonal`; no stage after it checks its input again.
+Python floats.  The solve pipeline builds its triangular factor itself,
+with the two halves of `cholesky`: `_factor` checks G and factors it, and
+`_check_pivots` checks the factor's diagonal.  It reads R's columns and
+diagonal once, and applies to that one diagonal list the pivot check and
+then the gate's diagonal rule alone, `_check_diagonal`; no stage after it
+checks its input again.  `_units(n)`, the n unit columns as tuples of
+ints, is built once per n and shared by every solve that starts from an
+identity.
 
 `cholesky` and `receiver.gram_matrix` call LAPACK from scipy's compiled
 ``scipy/linalg/_flapack``, which `_load_flapack` loads once by file, so
@@ -23,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from functools import lru_cache
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 from operator import mul, sub
@@ -84,6 +90,15 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     is then finite: every entry above the diagonal enters the pivot of its
     column, which a NaN or infinite one would make NaN or -inf.
     """
+    r, info = _factor(g)
+    _check_pivots(r.diagonal().tolist(), info)
+    return r
+
+
+def _factor(g) -> tuple[np.ndarray, int]:
+    """`cholesky` up to its pivot check: G checked, then ``dpotrf``'s factor
+    and its ``info`` (> 0: the leading minor of that order is not positive
+    definite)."""
     g = _float_array(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {g.shape}")
@@ -101,11 +116,16 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     r, info = dpotrf(g, lower=0, clean=1)
     if info < 0:
         raise ValueError(f"LAPACK rejected argument {-info}")
-    diag = r.diagonal().tolist()
-    if info or not all(map((0.0).__lt__, diag)):  # a NaN pivot fails too
+    return r, info
+
+
+def _check_pivots(diag: list[float], info: int) -> None:
+    """`cholesky`'s pivot check on the diagonal of ``dpotrf``'s factor:
+    raises NotPositiveDefinite if ``info`` reports a failed pivot or an
+    entry is not positive (a NaN pivot fails too)."""
+    if info or not all(map((0.0).__lt__, diag)):
         j = info - 1 if info else next(i for i, d in enumerate(diag) if not d > 0.0)
         raise NotPositiveDefinite(f"pivot {diag[j]} at index {j}")
-    return r
 
 
 def checked_rows(m) -> list[list[float]]:
@@ -123,23 +143,30 @@ def checked_rows(m) -> list[list[float]]:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise PreconditionViolated(f"expected a nonempty square 2-D matrix, got shape {m.shape}")
     rows = m.tolist()
-    _check_diagonal(rows)
+    _check_diagonal([abs(row[i]) for i, row in enumerate(rows)])
     flat = sum(rows, [])
     if not sum(map(mul, flat, flat)) < math.inf:
         raise PreconditionViolated("matrix has a NaN or infinite entry, or squares that overflow")
     return rows
 
 
-def _check_diagonal(rows: list[list[float]]) -> None:
-    """The gate's diagonal rule: raises SingularInput unless every
-    |r_ii| >= 1e-14 max |r_ii| (false on a NaN) and min |r_ii| squared
-    (by ``*``: ``**`` raises on overflow) is at least ``sys.float_info.min``,
-    so that no square the walk compares underflows."""
-    diag = [abs(rows[i][i]) for i in range(len(rows))]
+def _check_diagonal(diag: list[float]) -> None:
+    """The gate's diagonal rule on the magnitudes |r_ii| of a triangular
+    diagonal: raises SingularInput unless every |r_ii| >= 1e-14 max |r_ii|
+    (false on a NaN) and min |r_ii| squared (by ``*``: ``**`` raises on
+    overflow) is at least ``sys.float_info.min``, so that no square the
+    walk compares underflows."""
     bound = SINGULAR_RTOL * max(diag)
     low = min(diag)
-    if not (low * low >= sys.float_info.min and all(v >= bound for v in diag)):
+    if not (low * low >= sys.float_info.min and all(map(bound.__le__, diag))):
         raise SingularInput("diagonal entry below 1e-14 of the largest, or its square not normal")
+
+
+@lru_cache(maxsize=64)
+def _units(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n unit vectors e_0 .. e_{n-1} as tuples of ints, built once per n;
+    the tuples keep the shared columns from being changed in place."""
+    return tuple(tuple(int(r == k) for r in range(n)) for k in range(n))
 
 
 def _to_int_rows(m) -> list[list[int]]:

@@ -26,18 +26,24 @@ approach of prior solvers.  Every solver reaches the tree walk through
 through `_pipeline`.
 
 Between Cholesky and a_star the pipeline works on Python lists: R is
-converted once by ``tolist``, r_bar leaves the LLL kernel as a list of
-rows and z as a list of columns, the reduced solver's kernel returns the
-columns of c_star as tuples of ints, and each column of a_star is
-gathered in Python ints from the columns of z, as the sum of c_k z_k
-over the nonzero entries c_k of its column of c_star, and converted to
-int64 once.  Per-call numpy overhead dominates at small n, so
-lists are faster there.  `gram_matrix` and `cholesky` stay numpy: both
-factor with LAPACK ``dpotrf``, whose bits a Python loop would not keep.
+read once, by one ``tolist`` of its transpose into the columns the LLL
+kernel reduces, r_bar leaves that kernel as a list of row tuples and z as
+a list of columns, the reduced solver's kernel returns the columns of
+c_star as tuples of ints, and each column of a_star is gathered in Python
+ints from the columns of z, as the sum of c_k z_k over the nonzero
+entries c_k of its column of c_star, and converted to int64 once.  The
+unit columns every solve starts from (the identity z, the permuted
+identity C and its adj) are the shared tuples of `matrixcore._units`,
+built once per n.  Per-call numpy overhead dominates at small n, so
+lists are faster there.  `gram_matrix` and the pipeline's factor stay
+numpy: both factor with LAPACK ``dpotrf``, whose bits a Python loop would
+not keep.
 
-The pipeline checks its input once: `cholesky` checks G, and R passes the
-diagonal rule of `matrixcore.checked_rows`, the gate of triangular
-inputs; the LLL and reduced-solver kernels after it trust their rows.
+The pipeline checks its input once: G passes `cholesky`'s checks
+(`matrixcore._factor`), and the diagonal of R, read from its columns
+once, passes `cholesky`'s positive-pivot check and then the diagonal rule
+of `matrixcore.checked_rows`, the gate of triangular inputs; the LLL and
+reduced-solver kernels after it trust their rows.
 Each public reduced solver is that gate plus its kernel (`_gated`).  The
 gate alone decides whether an input's squares fit in floats, so no kernel
 widens or retries a radius.
@@ -57,9 +63,16 @@ from operator import le, mul
 import numpy as np
 
 from .enumeration import _search
-from .errors import DimensionTooLarge, PreconditionViolated, SingularCoefficientMatrix
+from .errors import (
+    DimensionTooLarge,
+    PreconditionViolated,
+    SearchBudgetExceeded,
+    SingularCoefficientMatrix,
+)
 from .lll import DEFAULT_DELTA, _lll
-from .matrixcore import _check_diagonal, _int64, _to_int_rows, checked_rows, cholesky, int_rank
+from .matrixcore import (
+    _check_diagonal, _check_pivots, _factor, _int64, _to_int_rows, _units, checked_rows, int_rank,
+)
 
 ORACLE_MAX_DIM = 8  # largest dimension brute_force_smp accepts
 
@@ -144,8 +157,9 @@ def _exchange_basis(cols: list[tuple[int, ...]]) -> tuple[list[list[int]], int]:
     inserted with norm k into the identity, whose columns hold norm inf, so
     it lands at index k; a rejection means that C is singular."""
     n = len(cols)
-    adj = [[int(r == k) for r in range(n)] for k in range(n)]
-    work, norms, d = [tuple(row) for row in adj], [math.inf] * n, 1
+    units = _units(n)
+    adj = list(map(list, units))  # returned, so rows of the documented type
+    work, norms, d = list(units), [math.inf] * n, 1
     for k, col in enumerate(cols):
         d = _exchange(work, norms, adj, d, col, k)
         if d is None:
@@ -248,13 +262,13 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
 
 def _rsmp(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
     """`solve_rsmp` on trusted rows: the columns of c_star, and their norms."""
+    # permuted identity columns sorted by ||r_bar e_k|| (stable); as
+    # C^-1 = C^T for a permutation, row k of adj is column k of C
     n = len(rows)
-    # permuted identity columns sorted by ||r_bar e_k|| (stable)
     col_norms = _identity_norms(rows)
-    adj = [[0] * n for _ in rows]  # C^-1 = C^T for a permutation
-    for row, k in zip(adj, sorted(range(n), key=col_norms.__getitem__)):
-        row[k] = 1
-    cols = list(map(tuple, adj))
+    units = _units(n)
+    cols = [units[k] for k in sorted(range(n), key=col_norms.__getitem__)]
+    adj = cols.copy()
     norms = sorted(col_norms)
     d = 1
 
@@ -297,17 +311,22 @@ def solve_smp(g) -> SmpSolution:
 
 def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:
     """The solve pipeline: Cholesky -> LLL -> ``kernel(r_bar)`` (a reduced
-    solver's kernel) -> a_star = z @ c_star, on lists between `cholesky`
+    solver's kernel) -> a_star = z @ c_star, on lists between ``dpotrf``
     and the int64 a_star.  Returns (a_star, lambdas).
 
-    The one check after `cholesky` is the gate's diagonal rule on R: a
-    returned R is finite and square, its column j has the finite squared
+    `cholesky` is `_factor` plus `_check_pivots`; here R is read once, as
+    columns, and its diagonal is read from them once for that check and
+    the gate's diagonal rule.  That rule is the one check after Cholesky:
+    a returned R is finite and square, its column j has the finite squared
     norm G_jj, and r_bar passes the gate whenever R does (up to rounding
     at the bound), because a Lovasz swap moves the two diagonal entries it
     changes into the range between them."""
-    rows = cholesky(g).tolist()
-    _check_diagonal(rows)
-    r_bar, z = _lll(rows, DEFAULT_DELTA)
+    r, info = _factor(g)
+    cols = r.T.tolist()
+    diag = [col[i] for i, col in enumerate(cols)]
+    _check_pivots(diag, info)
+    _check_diagonal(diag)  # positive, so these are the |r_ii|
+    r_bar, z = _lll(cols, DEFAULT_DELTA)
     c_cols, lambdas = kernel(r_bar)
     return _unreduce(z, c_cols), lambdas
 
@@ -340,7 +359,12 @@ def _unreduce(z: list, c_cols) -> np.ndarray:
 
 def _int_matmul(a, b) -> np.ndarray:
     """Exact product of integer matrices (ndarrays or lists of rows) in
-    Python ints; the int64 result conversion raises CoefficientOverflow."""
+    Python ints; the int64 result conversion raises CoefficientOverflow.
+    An empty product has numpy's shape: int64 zeros of shape (n, m) for an
+    (n, k) a and a (k, m) b when n, k or m is 0."""
+    (n_rows, inner), (_, n_cols) = np.shape(a), np.shape(b)
+    if not (n_rows and inner and n_cols):
+        return np.zeros((n_rows, n_cols), dtype=np.int64)
     a_rows, b_rows = (m.tolist() if isinstance(m, np.ndarray) else m for m in (a, b))
     return _unreduce(list(zip(*a_rows)), list(zip(*b_rows)))
 
@@ -377,7 +401,7 @@ def _brute_force(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[f
             if len(chosen) == n:
                 break
     if len(chosen) < n:
-        raise RuntimeError("ball search failed to find a full basis")
+        raise SearchBudgetExceeded("ball search failed to find a full basis")
     return chosen, lambdas
 
 
@@ -411,7 +435,7 @@ def _baseline(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[floa
         best = None
         _search(rows, [norm ** 2 * _RADIUS_PAD] * n, on_leaf)
         if best is None:
-            raise RuntimeError("ball search failed to find an independent vector")
+            raise SearchBudgetExceeded("ball search failed to find an independent vector")
         chosen.append(best[1])
         lambdas.append(math.sqrt(best[0]))
     return chosen, lambdas

@@ -8,6 +8,7 @@ from ifsmp import (
     CoefficientOverflow,
     IfsmpError,
     PreconditionViolated,
+    SearchBudgetExceeded,
     SingularInput,
     baseline_smp,
     brute_force_smp,
@@ -17,6 +18,7 @@ from ifsmp import (
     lll_reduce,
     solve_rsmp,
 )
+from ifsmp import lll
 from ifsmp.lll import _lll
 
 
@@ -87,7 +89,7 @@ def test_z_rows_from_kernel_columns(rng):
     inputs.append(np.array([[1.0, 0.75], [0.0, 0.5]]))  # one swap
     for r in inputs:
         res = lll_reduce(r)
-        _, z_cols = _lll(r.tolist(), 0.75)
+        _, z_cols = _lll(r.T.tolist(), 0.75)
         assert res.z.dtype == np.int64 and res.z.flags.c_contiguous
         assert res.z.tolist() == [list(row) for row in zip(*z_cols)]
         np.testing.assert_allclose(np.linalg.norm(r @ res.z, axis=0),
@@ -204,3 +206,14 @@ def test_int64_overflow_is_typed():
         lll_reduce(r)
     assert isinstance(info.value, IfsmpError)
     assert isinstance(info.value, OverflowError)
+
+
+def test_sweep_cap_is_typed(monkeypatch):
+    assert [lll._sweep_cap(n) for n in (1, 2, 4, 8)] == [1000, 2560, 10240, 40960]
+    # the hand-traced 2x2 swaps at its first step and needs a second one
+    monkeypatch.setattr(lll, "_sweep_cap", lambda n: 1)
+    lll_reduce(np.eye(2))  # one step, no swap
+    with pytest.raises(SearchBudgetExceeded) as info:
+        lll_reduce(np.array([[1.0, 0.75], [0.0, 0.5]]))
+    assert isinstance(info.value, IfsmpError)
+    assert isinstance(info.value, RuntimeError)

@@ -12,6 +12,7 @@ from ifsmp import (
     CoefficientOverflow,
     DimensionTooLarge,
     PreconditionViolated,
+    SearchBudgetExceeded,
     SingularCoefficientMatrix,
     SingularInput,
     WorkingBasis,
@@ -720,3 +721,23 @@ def test_unreduce_overflow_is_typed():
     assert smp._unreduce(z_cols, [[1, 0], [1, -1]]).tolist() == [[2**62, 0], [-2**62, 1]]
     with pytest.raises(CoefficientOverflow):
         _int_matmul(np.array([[2**62, 2**62]]), np.array([[1], [1]]))
+
+
+def test_empty_products_keep_their_shape():
+    # numpy's shapes: no columns in b gives (n, 0); an inner dimension of 0
+    # gives zeros
+    for a, b, shape in (((2, 2), (2, 0), (2, 0)), ((2, 0), (0, 3), (2, 3)),
+                        ((0, 2), (2, 3), (0, 3))):
+        got = _int_matmul(np.ones(a, dtype=np.int64), np.ones(b, dtype=np.int64))
+        assert got.dtype == np.int64 and got.shape == shape
+        assert np.array_equal(got, np.ones(a, dtype=np.int64) @ np.ones(b, dtype=np.int64))
+
+
+def test_reference_solvers_that_find_nothing_raise_typed(monkeypatch):
+    # a walk that visits no leaf leaves the oracle without a basis and the
+    # baseline without an independent vector
+    monkeypatch.setattr(smp, "_search", lambda rows, radii, on_leaf: 0)
+    for solve in (brute_force_smp, baseline_smp):
+        with pytest.raises(SearchBudgetExceeded) as info:
+            solve(np.eye(2))
+        assert isinstance(info.value, RuntimeError)

@@ -13,9 +13,11 @@ ints, is built once per n and shared by every solve that starts from an
 identity.
 
 `cholesky` and `receiver.gram_matrix` call LAPACK from scipy's compiled
-``scipy/linalg/_flapack``, which `_load_flapack` loads once by file, so
-that `import ifsmp` does not import `scipy.linalg` (whose start-up imports
-much of numpy that ifsmp never uses); R has the bits of
+``scipy/linalg/_flapack``, which `_load_flapack` loads once by file.  It
+finds scipy's directory without running scipy's package ``__init__``, so
+`import ifsmp` imports neither `scipy.linalg` (whose start-up imports much
+of numpy that ifsmp never uses) nor `scipy` (whose package init alone
+holds about 0.7 MB of resident memory); R has the bits of
 ``scipy.linalg.lapack.dpotrf``, the same compiled function.
 
 Integer matrices are handled with native Python ints internally, so every
@@ -30,11 +32,10 @@ import os
 import sys
 from functools import lru_cache
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from operator import mul, sub
 
 import numpy as np
-import scipy
 
 from .errors import (
     CoefficientOverflow,
@@ -50,19 +51,40 @@ SINGULAR_RTOL = 1e-14
 
 def _load_flapack():
     """scipy's compiled LAPACK extension, loaded from its file without
-    importing the `scipy.linalg` package around it."""
-    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    running scipy's package ``__init__`` or importing the `scipy.linalg`
+    package around it; `find_spec` only locates scipy's directory.
+
+    Raises ModuleNotFoundError without scipy, and ImportError naming the
+    file when scipy has no ``linalg/_flapack``.  If loading the extension
+    raises ImportError, scipy is imported and the load tried once more:
+    on Windows, scipy's ``__init__`` is what adds the directory of the
+    DLLs the extension links against to the search path."""
+    package = find_spec("scipy")
+    if package is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    linalg_dir = os.path.join(os.path.dirname(package.origin), "linalg")
     spec = PathFinder.find_spec("_flapack", [linalg_dir])
     if spec is None:
-        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension "
+        raise ImportError("scipy has no LAPACK extension "
                           f"{os.path.join(linalg_dir, '_flapack')}.*")
+    try:
+        return _exec(spec)
+    except ImportError:
+        import scipy  # noqa: F401  (its __init__ sets up the DLL search path)
+
+        return _exec(spec)
+
+
+def _exec(spec):
+    """The module of an extension's spec: created, which loads the shared
+    library and runs its init function, then executed."""
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 _flapack = _load_flapack()
-dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+dposv, dpotrf = _flapack.dposv, _flapack.dpotrf
 
 
 def _float_array(x) -> np.ndarray:

@@ -4,10 +4,10 @@ Rates are in bits per channel use (base-2 logs).  The SMP solver returns a
 matrix whose COLUMNS are the successive-minima vectors; the rate functions
 here consume coefficient ROWS, so callers pass the solver output transposed.
 
-The Cholesky solve in `gram_matrix` calls LAPACK dpotrf/dpotrs as loaded
-by `matrixcore._load_flapack`, the library's one LAPACK loader: these are
-the very functions `scipy.linalg.lapack` exports and `cho_factor`/
-`cho_solve` run, called with the same arguments, so G has their bits.
+The Cholesky solve in `gram_matrix` is one call of LAPACK dposv as loaded
+by `matrixcore._load_flapack`, the library's one LAPACK loader.  DPOSV is
+DPOTRF followed by DPOTRS, the very routines `cho_factor`/`cho_solve` run
+through `scipy.linalg.lapack`, on the same triangle, so G has their bits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     SingularCoefficientMatrix,
     ZeroVector,
 )
-from .matrixcore import _float_array, _to_int_rows, dpotrf, dpotrs, int_det
+from .matrixcore import _float_array, _to_int_rows, dposv, int_det
 
 
 @lru_cache(maxsize=64)
@@ -66,16 +66,15 @@ def gram_matrix(h, p: float) -> np.ndarray:
     if h.ndim != 2 or not h.size or not _finite(h):
         raise PreconditionViolated(f"expected a nonempty finite 2-D channel, shape {h.shape}")
     m = h @ h.T + _identity(h.shape[0]) / p
-    # m is PSD, so a finite diagonal bounds every entry.  dpotrf/dpotrs are
-    # what cho_factor/cho_solve run, without their costly per-call checks.
+    # m is PSD, so a finite diagonal bounds every entry.  dposv factors and
+    # solves as cho_factor/cho_solve do, without their costly per-call checks.
     if not _finite(m.diagonal()):
         raise PreconditionViolated("H H^T + I/P overflows")
-    c, info = dpotrf(m, lower=0, clean=0)
+    _, x, info = dposv(m, h, lower=0)
     if info > 0:
         raise NotPositiveDefinite("H H^T + I/P is numerically singular")
-    x, solve_info = dpotrs(c, h, lower=0)
-    if info or solve_info:
-        raise ValueError(f"LAPACK rejected argument {-min(info, solve_info)}")
+    if info:
+        raise ValueError(f"LAPACK rejected argument {-info}")
     g = _identity(h.shape[1]) - h.T @ x
     return (g + g.T) / 2
 

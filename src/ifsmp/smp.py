@@ -73,6 +73,7 @@ from .lll import DEFAULT_DELTA, _lll
 from .matrixcore import (
     _check_diagonal, _check_pivots, _factor, _int64, _to_int_rows, _units, checked_rows, int_rank,
 )
+from .receiver import _rate
 
 ORACLE_MAX_DIM = 8  # largest dimension brute_force_smp accepts
 
@@ -97,7 +98,7 @@ class WorkingBasis:
         return _int64(self.cols).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmpSolution:
     a_star: np.ndarray
     lambdas: tuple[float, ...]
@@ -299,13 +300,11 @@ def solve_smp(g) -> SmpSolution:
     """
     a_star, lambdas = _pipeline(g, _rsmp)
     objective = lambdas[-1] ** 2
-    n = a_star.shape[0]
-    rate_total = n * max(0.0, -0.5 * math.log2(objective))
     return SmpSolution(
         a_star=a_star,
         lambdas=tuple(lambdas),
         objective=objective,
-        rate_total=rate_total,
+        rate_total=len(lambdas) * _rate(objective),
     )
 
 

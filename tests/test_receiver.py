@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from importlib.machinery import ExtensionFileLoader
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from ifsmp import (
     solve_smp,
     total_rate,
 )
+from ifsmp import matrixcore
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -60,8 +62,8 @@ class TestGramMatrix:
                 gram_matrix(h, p)
 
     def test_matches_cho_solve_reference(self, rng):
-        # gram_matrix calls LAPACK dpotrf/dpotrs directly; G must be the
-        # bytes cho_factor/cho_solve give
+        # gram_matrix calls LAPACK dposv (dpotrf then dpotrs) directly; G
+        # must be the bytes cho_factor/cho_solve give
         for trial in range(500):
             nt = trial % 6 + 1
             nr = nt if trial % 3 else int(rng.integers(1, 7))
@@ -78,7 +80,7 @@ class TestGramMatrix:
     @pytest.mark.parametrize("linalg_first", [False, True])
     def test_fresh_interpreter_lapack(self, linalg_first):
         # receiver loads scipy's compiled LAPACK extension on its own: a solve
-        # must leave scipy.linalg unimported, and G must keep the bytes of
+        # must leave scipy itself unimported, and G must keep the bytes of
         # cho_factor/cho_solve when scipy.linalg was imported before ifsmp
         script = f"""
 import sys
@@ -92,6 +94,7 @@ gs = [gram_matrix(h, 10.0) for h in hs]
 solve_smp(gs[0])
 if not {linalg_first}:
     assert "scipy.linalg" not in sys.modules, "import ifsmp imported scipy.linalg"
+    assert "scipy" not in sys.modules, "import ifsmp ran scipy's package init"
 from scipy.linalg import cho_factor, cho_solve
 for h, g in zip(hs, gs):
     m = h @ h.T + np.eye(len(h)) / 10.0
@@ -113,6 +116,29 @@ for h, g in zip(hs, gs):
         assert done.returncode != 0
         assert "ImportError" in done.stderr
         assert os.path.join(str(tmp_path), "scipy", "linalg", "_flapack") in done.stderr
+
+    def test_flapack_load_falls_back_to_importing_scipy(self, monkeypatch):
+        # a failed first load (on Windows: the DLL directory that scipy's
+        # __init__ registers) is retried once after importing scipy
+        calls = []
+        exec_module = ExtensionFileLoader.exec_module
+
+        def failing_once(loader, module):
+            calls.append(loader.name)
+            if len(calls) == 1:
+                raise ImportError("DLL load failed")
+            exec_module(loader, module)
+
+        monkeypatch.setattr(ExtensionFileLoader, "exec_module", failing_once)
+        flapack = matrixcore._load_flapack()
+        assert calls == ["_flapack", "_flapack"]
+        r, info = flapack.dpotrf(np.eye(2), lower=0, clean=1)
+        assert info == 0 and r.tobytes() == np.eye(2).tobytes()
+
+    def test_missing_scipy_is_module_not_found(self, monkeypatch):
+        monkeypatch.setattr(matrixcore, "find_spec", lambda name: None)
+        with pytest.raises(ModuleNotFoundError, match="scipy"):
+            matrixcore._load_flapack()
 
     def test_spd_and_eigen_range(self, rng):
         for _ in range(1000):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -464,6 +465,15 @@ class TestSolveSmp:
         assert sol.lambdas == pytest.approx((1.0, 1.0, 1.0))
         assert sol.objective == pytest.approx(1.0)
         assert sol.rate_total == 0.0
+
+    def test_solution_is_frozen_without_dict(self):
+        # slots: no per-instance __dict__, and the fields stay read-only
+        sol = solve_smp(np.eye(2))
+        assert [f.name for f in dataclasses.fields(sol)] == [
+            "a_star", "lambdas", "objective", "rate_total"]
+        assert not hasattr(sol, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.objective = 0.0
 
     def test_diagonal_gram(self):
         sol = solve_smp(np.diag([9.0, 1.0]))

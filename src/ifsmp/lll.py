@@ -18,10 +18,13 @@ The kernel returns r_bar as its rows, the tuples ``zip`` makes, which
 `smp._pipeline` hands straight to the reduced solver, and z as the list of
 its columns, from which `smp._unreduce` gathers a_star; every consumer
 only reads them.  `lll_reduce` is the public ndarray wrapper: it checks
-delta (the pipeline always runs at DEFAULT_DELTA), passes R through the
-gate of every public triangular input, `matrixcore.checked_rows`, flips
-the rows with a negative diagonal entry (`_pipeline`'s R from Cholesky has
-none), and transposes z once.
+delta (the pipeline always runs at DEFAULT_DELTA), takes R's columns from
+`_checked_columns`, and transposes z once.  `_checked_columns` is the one
+entry of a public triangular input into `_lll`, shared with the three
+public reduced solvers of `smp`: it passes R through the gate of every
+public triangular input, `matrixcore.checked_rows`, flips the rows with
+a negative diagonal entry (`_pipeline`'s R from Cholesky has none), and
+reads the upper triangle only.
 """
 
 from __future__ import annotations
@@ -69,13 +72,21 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     """
     if not 0.25 < delta <= 1.0:
         raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
+    r_bar, z = _lll(_checked_columns(r), delta)
+    return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
+
+
+def _checked_columns(r) -> list[list[float]]:
+    """The columns `_lll` takes, from a public triangular input: r through
+    `checked_rows`, with the rows that have a negative diagonal entry
+    flipped first (sign flips live in Q).  Only the upper triangle is
+    read, as the enumeration does: entries below the diagonal become 0.0,
+    where a swap's rotation would otherwise mix them in."""
     rows = checked_rows(r)
-    # normalize diagonal signs up front (sign flips live in Q)
     for i, row in enumerate(rows):
         if row[i] < 0:
             row[i:] = [-v for v in row[i:]]
-    r_bar, z = _lll([list(col) for col in zip(*rows)], delta)
-    return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
+    return [list(col[:k + 1]) + [0.0] * (len(col) - k - 1) for k, col in enumerate(zip(*rows))]
 
 
 def _lll(cols: list[list[float]], delta: float) -> tuple[list[tuple[float, ...]], list]:

@@ -43,10 +43,18 @@ The pipeline checks its input once: G passes `cholesky`'s checks
 (`matrixcore._factor`), and the diagonal of R, read from its columns
 once, passes `cholesky`'s positive-pivot check and then the diagonal rule
 of `matrixcore.checked_rows`, the gate of triangular inputs; the LLL and
-reduced-solver kernels after it trust their rows.
-Each public reduced solver is that gate plus its kernel (`_gated`).  The
-gate alone decides whether an input's squares fit in floats, so no kernel
-widens or retries a radius.
+reduced-solver kernels after it trust their rows.  One tail, `_tail`,
+then runs `_lll` at DEFAULT_DELTA, the kernel and `_unreduce`.  Each
+public reduced solver enters the same tail from its own triangular input,
+which `lll._checked_columns` passes through the gate with the rows of
+negative diagonal entries flipped and its upper triangle alone, as
+`lll_reduce` does: the solver reduces its input first and returns c_star
+in the input's coordinates.
+On `lll_reduce` output that second reduction takes no step, so the
+kernel's answer comes back bit for bit; on other input the kernel walks a
+reduced basis, whose radii start near the minima.  The gate alone decides
+whether an input's squares fit in floats, so no kernel widens or retries
+a radius.
 
 All independence decisions are made on integer matrices with exact
 arithmetic (`int_rank` of the coefficient columns taken as rows); no
@@ -69,9 +77,9 @@ from .errors import (
     SearchBudgetExceeded,
     SingularCoefficientMatrix,
 )
-from .lll import DEFAULT_DELTA, _lll
+from .lll import DEFAULT_DELTA, _checked_columns, _lll
 from .matrixcore import (
-    _check_diagonal, _check_pivots, _factor, _int64, _to_int_rows, _units, checked_rows, int_rank,
+    _check_diagonal, _check_pivots, _factor, _int64, _to_int_rows, _units, int_rank,
 )
 from .receiver import _rate
 
@@ -241,11 +249,16 @@ def _subspace_radii(norms: list[float], adj: list[list[int]]) -> list[float]:
 def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Successive minima of L(r_bar) in a single enumeration pass.
 
-    Starts from the sorted permuted identity, visits sign-canonical vectors
-    inside the shrinking radii, and repairs the basis with the
-    `update_basis` rule at every nonzero leaf.  Returns the invertible
-    coefficient matrix (columns are the minima vectors) and the
-    nondecreasing norms.
+    r_bar is any upper-triangular basis that passes `checked_rows`; it is
+    LLL-reduced first, as `solve_smp` reduces R (`_tail`).  The walk
+    starts from the sorted permuted identity of the reduced basis, visits
+    sign-canonical vectors inside the shrinking radii, and repairs the
+    basis with the `update_basis` rule at every nonzero leaf.  Returns the
+    invertible coefficient matrix in r_bar's coordinates (columns are the
+    minima vectors; CoefficientOverflow when an entry does not fit int64)
+    and the nondecreasing norms.  On `lll_reduce` output the reduction
+    takes no step, and on ``cholesky(g)`` the result is `solve_smp(g)`'s,
+    bit for bit.
 
     The radius of a leaf depends on its highest nonzero coordinate h
     (`_subspace_radii`): the largest current basis norm for the top
@@ -258,7 +271,7 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     rank-deficient channels, where almost every leaf lies in the span of
     shorter columns, it removes most of the walk.
     """
-    return _gated(_rsmp, r_bar)
+    return _tail(_checked_columns(r_bar), _rsmp)
 
 
 def _rsmp(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
@@ -309,9 +322,9 @@ def solve_smp(g) -> SmpSolution:
 
 
 def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:
-    """The solve pipeline: Cholesky -> LLL -> ``kernel(r_bar)`` (a reduced
-    solver's kernel) -> a_star = z @ c_star, on lists between ``dpotrf``
-    and the int64 a_star.  Returns (a_star, lambdas).
+    """The solve pipeline: Cholesky, then `_tail`: LLL -> ``kernel(r_bar)``
+    (a reduced solver's kernel) -> a_star = z @ c_star, on lists between
+    ``dpotrf`` and the int64 a_star.  Returns (a_star, lambdas).
 
     `cholesky` is `_factor` plus `_check_pivots`; here R is read once, as
     columns, and its diagonal is read from them once for that check and
@@ -325,17 +338,17 @@ def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:
     diag = [col[i] for i, col in enumerate(cols)]
     _check_pivots(diag, info)
     _check_diagonal(diag)  # positive, so these are the |r_ii|
+    return _tail(cols, kernel)
+
+
+def _tail(cols: list[list[float]], kernel) -> tuple[np.ndarray, list[float]]:
+    """The one tail from R to a_star, shared by `_pipeline` and the public
+    reduced solvers: the columns of a checked R with a positive diagonal
+    through `_lll` at DEFAULT_DELTA, ``kernel(r_bar)``, and
+    a_star = z @ c_star by `_unreduce`.  Returns (a_star, lambdas)."""
     r_bar, z = _lll(cols, DEFAULT_DELTA)
     c_cols, lambdas = kernel(r_bar)
     return _unreduce(z, c_cols), lambdas
-
-
-def _gated(kernel, r_bar) -> tuple[np.ndarray, list[float]]:
-    """A public reduced solver: r_bar through `checked_rows`, then
-    ``kernel``, whose columns of c_star are returned as an int64 matrix
-    (CoefficientOverflow when an entry does not fit)."""
-    cols, norms = kernel(checked_rows(r_bar))
-    return _int64(cols).T, norms
 
 
 def _unreduce(z: list, c_cols) -> np.ndarray:
@@ -371,15 +384,17 @@ def _int_matmul(a, b) -> np.ndarray:
 def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Ground-truth successive minima by one ball search and greedy selection.
 
-    Collects every sign-canonical nonzero c with ||r_bar c||^2 below
-    beta_0^2 `_RADIUS_PAD`, beta_0 = max_k ||r_bar e_k||, in one `_search`
+    r_bar is LLL-reduced first, as in `solve_rsmp`, and the result is
+    returned in its coordinates.  On the reduced basis B the oracle
+    collects every sign-canonical nonzero c with ||B c||^2 below
+    beta_0^2 `_RADIUS_PAD`, beta_0 = max_k ||B e_k||, in one `_search`
     at a fixed radius (the pad keeps the identity columns in the ball; extra
     candidates cannot change the result), sorts them by norm, and greedily
     keeps each vector that is exactly independent of those already kept.
     The in-ball vectors form a matroid, so the picks attain the successive
     minima.  Exponential cost; guarded by ORACLE_MAX_DIM.
     """
-    return _gated(_brute_force, r_bar)
+    return _tail(_checked_columns(r_bar), _brute_force)
 
 
 def _brute_force(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
@@ -407,14 +422,16 @@ def _brute_force(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[f
 def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Column-by-column successive minima (prior-art style baseline).
 
-    Column k is the shortest sign-canonical vector exactly independent of
-    the previously fixed columns, found by a bounded enumeration whose
-    squared radius starts at the k-th smallest identity-column norm squared
-    times `_RADIUS_PAD` and shrinks on every improving independent one.
-    That ball holds k + 1 identity columns, so one independent of the k
-    fixed ones: it is never empty on an input that passes the gate.
+    r_bar is LLL-reduced first, as in `solve_rsmp`, and the result is
+    returned in its coordinates.  Column k is the shortest sign-canonical
+    vector exactly independent of the previously fixed columns, found by a
+    bounded enumeration on the reduced basis whose squared radius starts at
+    its k-th smallest identity-column norm squared times `_RADIUS_PAD` and
+    shrinks on every improving independent one.  That ball holds k + 1
+    identity columns, so one independent of the k fixed ones: it is never
+    empty on an input that passes the gate.
     """
-    return _gated(_baseline, r_bar)
+    return _tail(_checked_columns(r_bar), _baseline)
 
 
 def _baseline(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_gram
 from ifsmp import (
@@ -14,12 +16,14 @@ from ifsmp import (
     brute_force_smp,
     cholesky,
     enumerate_below,
+    gram_matrix,
     int_det,
     lll_reduce,
     solve_rsmp,
 )
 from ifsmp import lll
-from ifsmp.lll import _lll
+from ifsmp.lll import DEFAULT_DELTA, _lll
+from ifsmp.matrixcore import _units
 
 
 # successive minima 0.510 / 0.568 / 0.723
@@ -80,6 +84,21 @@ def test_row_signs_are_normalised(rng):
         assert (np.diag(res.r_bar) > 0).all()
         (c_star, lambdas), (c_ref, l_ref) = solve_rsmp(flipped), solve_rsmp(r)
         assert np.array_equal(c_star, c_ref) and lambdas == l_ref
+
+
+def test_lower_triangle_is_not_read(rng):
+    # entries below the diagonal are not part of a triangular input: LLL
+    # and the three reduced solvers, which reduce first, answer as for the
+    # upper triangle alone, as enumerate_below does
+    for _ in range(20):
+        nt = int(rng.integers(2, 6))
+        r = cholesky(random_gram(rng, nt))
+        full = r + np.tril(rng.standard_normal((nt, nt)), -1)
+        res, ref = lll_reduce(full), lll_reduce(r)
+        assert np.array_equal(res.z, ref.z) and np.array_equal(res.r_bar, ref.r_bar)
+        for solve in (solve_rsmp, baseline_smp, brute_force_smp):
+            (c_star, lambdas), (c_ref, l_ref) = solve(full), solve(r)
+            assert np.array_equal(c_star, c_ref) and lambdas == l_ref
 
 
 def test_z_rows_from_kernel_columns(rng):
@@ -190,6 +209,30 @@ def test_idempotent_up_to_signs(rng):
         # already reduced: the second pass may at most flip column signs
         assert abs(int_det(second.z)) == 1
         assert np.all(np.sum(np.abs(second.z), axis=0) == 1)
+
+
+@st.composite
+def reduced_factors(draw):
+    """`lll_reduce` output of a Gram factor, nt 2-8 at 0-40 dB; some
+    channels have a duplicated column."""
+    nt = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal((nt, nt))
+    if draw(st.booleans()):
+        h[:, 1] = h[:, 0]
+    p = 10.0 ** (draw(st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0])) / 10.0)
+    return lll_reduce(cholesky(gram_matrix(h, p))).r_bar
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(reduced_factors())
+def test_second_reduction_is_the_identity(r_bar):
+    # the public reduced solvers reduce their input again, so on reduced
+    # input they keep their answers bit for bit only if this second pass
+    # takes no size-reduction step and no swap
+    rows, z = _lll(r_bar.T.tolist(), DEFAULT_DELTA)
+    assert tuple(z) == _units(len(z))
+    assert np.array(rows).tobytes() == r_bar.tobytes()
 
 
 def test_delta_one_accepted(rng):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_gram, random_reduced_basis
+from conftest import random_gram, random_reduced_basis, time_limit
 from ifsmp import (
     Candidate,
     CoefficientOverflow,
@@ -399,6 +399,36 @@ class TestSolveRsmp:
                 recomputed = float(np.linalg.norm(r_bar @ c_star[:, k].astype(float)))
                 assert lambdas[k] == pytest.approx(recomputed, rel=1e-12)
 
+    def test_same_tail_as_solve_smp(self, rng):
+        # a public reduced solver reduces its input as the pipeline does, so
+        # on a Cholesky factor solve_rsmp returns solve_smp's A* and lambdas
+        # bit for bit, and the references agree with it; they keep a flat
+        # radius, so duplicated and near-rank H above 10 dB stay slow there
+        cases = []
+        for p_db in (0.0, 10.0, 20.0, 40.0, 60.0):
+            for nt in (2, 3, 4, 6):
+                near = rng.standard_normal((nt, nt))
+                near[:, 1] = near[:, 0] + 1e-4 * rng.standard_normal(nt)
+                cases += [(rng.standard_normal((nt, nt)), p_db, False),
+                          (duplicated_column(rng, nt), p_db, True), (near, p_db, True)]
+            cases += [(rng.standard_normal(shape), p_db, False) for shape in ((2, 4), (5, 3))]
+        for h, p_db, rank_poor in cases:
+            g = gram_matrix(h, 10.0 ** (p_db / 10.0))
+            sol = solve_smp(g)
+            r = cholesky(g)
+            with time_limit(5.0):
+                a_star, lambdas = solve_rsmp(r)
+            assert (a_star.dtype, a_star.shape) == (sol.a_star.dtype, sol.a_star.shape)
+            assert a_star.tobytes() == sol.a_star.tobytes()
+            assert [x.hex() for x in lambdas] == [x.hex() for x in sol.lambdas]
+            if h.shape[1] > 4 or (rank_poor and p_db > 10.0):
+                continue
+            for solve in (baseline_smp, brute_force_smp):
+                with time_limit(5.0):
+                    a, lam = solve(r)
+                assert lam == pytest.approx(lambdas, rel=1e-9), solve.__name__
+                assert int_det(a) != 0
+
     def test_norm_invariant_under_reduction(self, rng):
         for _ in range(25):
             r_bar = random_reduced_basis(rng, 4, p=1.0)
@@ -568,7 +598,7 @@ class TestSolveSmp:
             calls[0] += 1
             return gate(m)
 
-        for mod in (matrixcore, lll, smp, enumeration):
+        for mod in (matrixcore, lll, enumeration):
             monkeypatch.setattr(mod, "checked_rows", counting)
         for p_db in (0.0, 10.0, 20.0):
             for nt in (2, 4, 6):
@@ -686,6 +716,22 @@ def test_int64_overflow_is_typed():
         enumeration.enumerate_below(r, 1.5, lambda c: None)
     with pytest.raises(CoefficientOverflow):
         WorkingBasis(cols=((2**70, 0), (0, 1)), norms=(1.0, 2.0)).matrix()
+
+
+def test_unreduced_inputs_overflow_promptly():
+    # walked as given, from the radii of their unreduced identity columns,
+    # these triangles kept each reduced solver busy for seconds or without
+    # bound; reduced first, their minima vectors show entries of 65 bits
+    # and more, which no int64 C* holds
+    skewed = np.logspace(0, -13.9, 4)
+    constant = np.triu(np.full((4, 4), 0.37))
+    constant[np.diag_indices(4)] = skewed
+    gaussian = np.triu(np.random.default_rng(0).standard_normal((4, 4)))
+    gaussian[np.diag_indices(4)] = skewed
+    for r in (np.array([[1.0, 1e30], [0.0, 1.0]]), constant, gaussian):
+        for solve in (solve_rsmp, baseline_smp, brute_force_smp):
+            with time_limit(1.0), pytest.raises(CoefficientOverflow):
+                solve(r)
 
 
 def dense_product(a_rows, b_rows):

@@ -37,19 +37,19 @@ class BenchConfig:
     algorithms: tuple[str, ...] = ("new", "baseline")
 
     def validate(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not self.nt_list or not all(1 <= nt <= MAX_NT for nt in self.nt_list):
-            raise ConfigError(f"nt_list must contain dimensions from 1 to {MAX_NT}")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigError(f"trials must be >= 1 and an integer, got {self.trials!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 and an integer, got {self.seed!r}")
+        if not self.nt_list or not all(_is_int(nt) and 1 <= nt <= MAX_NT for nt in self.nt_list):
+            raise ConfigError(f"nt_list must contain integer dimensions from 1 to {MAX_NT}")
         if not self.p_list_db:
             raise ConfigError("p_list_db must not be empty")
         for p_db in self.p_list_db:
             try:
                 _check_power(db_to_linear(p_db))
-            except (InvalidPower, OverflowError):
-                raise ConfigError(f"power {p_db} dB is not a valid linear power") from None
+            except (InvalidPower, OverflowError, TypeError):  # TypeError: not a number
+                raise ConfigError(f"power {p_db!r} dB is not a valid linear power") from None
         unknown = set(self.algorithms) - set(REDUCED_SOLVERS)
         if unknown or not self.algorithms:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
@@ -66,6 +66,11 @@ class BenchRecord:
     rate_total: float
     wall_time_s: float
     seed_used: int
+
+
+def _is_int(v) -> bool:
+    """Whether v is an integer: a Python or numpy int (a bool is an int)."""
+    return isinstance(v, (int, np.integer))
 
 
 def db_to_linear(p_db: float) -> float:

@@ -68,10 +68,17 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     delta*r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_kk^2.  delta = 1 is accepted but
     may take superpolynomially many swaps.  z is int64; converting it
     raises CoefficientOverflow (an OverflowError) if an entry does not fit.
-    Checks delta first, then the input (`checked_rows`).
+    Checks delta first (a real scalar in (1/4, 1]), then the input
+    (`checked_rows`).
     """
-    if not 0.25 < delta <= 1.0:
-        raise PreconditionViolated(f"delta must be in (1/4, 1], got {delta}")
+    # as `receiver._check_power`: an array with ndim > 0 is no scalar; NaN
+    # fails the comparisons, and a str, None or complex delta raises in them
+    try:
+        ok = not getattr(delta, "ndim", 0) and 0.25 < delta <= 1.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise PreconditionViolated(f"delta must be a real scalar in (1/4, 1], got {delta!r}")
     r_bar, z = _lll(_checked_columns(r), delta)
     return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
 

@@ -43,12 +43,19 @@ def _finite(a: np.ndarray) -> bool:
 
 
 def _check_power(p: float) -> None:
-    """The power rule of `gram_matrix`: raises InvalidPower unless
-    0 < P < inf and 1/P is finite."""
-    # NaN fails the comparisons; 1/P is taken in Python floats, where a
-    # subnormal P overflows it to inf without a warning
-    if not 0 < p < math.inf or 1 / float(p) == math.inf:
-        raise InvalidPower(f"power must be positive, finite and not subnormal, got {p}")
+    """The power rule of `gram_matrix`: raises InvalidPower unless P is a
+    real scalar with 0 < P < inf and 1/P finite."""
+    # a numpy array has an ndim, 0 for a numpy scalar; NaN fails the
+    # comparisons, and a str, None or complex P raises in them.  1/P is
+    # taken in Python floats, where a subnormal P overflows it to inf
+    # without a warning and an int too large for a float raises
+    try:
+        ok = not getattr(p, "ndim", 0) and 0 < p < math.inf and 1 / float(p) < math.inf
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidPower(f"power must be a positive, finite real scalar and not subnormal, "
+                           f"got {p!r}")
 
 
 def gram_matrix(h, p: float) -> np.ndarray:
@@ -56,7 +63,9 @@ def gram_matrix(h, p: float) -> np.ndarray:
     comes from a Cholesky solve, and the inverse is never formed.
 
     Positive definite with eigenvalues in (0, 1] for any finite H and
-    0 < P < inf.  Raises InvalidPower unless 0 < P < inf and 1/P is finite,
+    0 < P < inf.  Raises InvalidPower unless P is a real scalar (not a
+    string, None, a complex number or an array with ndim > 0) with
+    0 < P < inf and 1/P finite,
     PreconditionViolated unless H is a nonempty 2-D matrix of finite real
     entries and H H^T + I/P is finite, and NotPositiveDefinite when
     H H^T + I/P is numerically singular.

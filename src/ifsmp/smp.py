@@ -106,12 +106,34 @@ class WorkingBasis:
         return _int64(self.cols).T
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SmpSolution:
+    """A solve's answer: a_star and the successive minima it attains.
+
+    Only the two are stored; `objective` and `rate_total` are functions of
+    lambdas, evaluated on every access and never cached.  The slots are
+    declared here, not by ``slots=True``: that rebuilds the class, and the
+    rebuilt class's frozen ``__setattr__`` raises TypeError, not
+    FrozenInstanceError, for a name that is no field, such as the two
+    properties (Python 3.11).  ``__reduce__`` rebuilds an instance through
+    ``__init__``, as pickle and copy cannot set the slots of a frozen one."""
+
+    __slots__ = ("a_star", "lambdas")
     a_star: np.ndarray
     lambdas: tuple[float, ...]
-    objective: float
-    rate_total: float
+
+    def __reduce__(self):
+        return SmpSolution, (self.a_star, self.lambdas)
+
+    @property
+    def objective(self) -> float:
+        """The squared largest minimum, lambda_n^2."""
+        return self.lambdas[-1] ** 2
+
+    @property
+    def rate_total(self) -> float:
+        """The total IF rate N_t * max(0, log2(1 / lambda_n^2) / 2)."""
+        return len(self.lambdas) * _rate(self.lambdas[-1] ** 2)
 
 
 def _exchange(cols: list, norms: list, adj: list, d: int, c, norm: float) -> int | None:
@@ -307,18 +329,15 @@ def solve_smp(g) -> SmpSolution:
     Pipeline: Cholesky factor R, LLL-reduce (at DEFAULT_DELTA; delta
     changes the work done, never the minima) to r_bar with unimodular z,
     solve the reduced problem, undo the reduction with a_star = z @ c_star.
-    The columns of a_star attain the successive minima of L(R); the
-    objective is the squared largest minimum and rate_total the resulting
-    total achievable rate in bits per channel use.
+    The result stores two things: a_star, an int64 matrix whose columns
+    attain the successive minima of L(R), and lambdas, those minima as a
+    nondecreasing tuple.  Its objective (the squared largest minimum) and
+    rate_total (the resulting total achievable rate in bits per channel
+    use) are derived from lambdas on access.  The result is frozen and
+    slotted.
     """
     a_star, lambdas = _pipeline(g, _rsmp)
-    objective = lambdas[-1] ** 2
-    return SmpSolution(
-        a_star=a_star,
-        lambdas=tuple(lambdas),
-        objective=objective,
-        rate_total=len(lambdas) * _rate(objective),
-    )
+    return SmpSolution(a_star, tuple(lambdas))
 
 
 def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:

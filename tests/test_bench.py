@@ -59,6 +59,22 @@ class TestConfigValidation:
             with pytest.raises(ConfigError):
                 run_benchmark(config)
 
+    def test_non_integer_counts_rejected(self):
+        # each would fail inside run_benchmark with a bare TypeError
+        base = dict(nt_list=(2,), p_list_db=(10.0,), trials=1)
+        bad = [dict(trials=1.5), dict(trials="2"), dict(seed=1.5), dict(seed="2"),
+               dict(nt_list=(2, 1.5)), dict(nt_list=("2",)),
+               dict(p_list_db=(10.0, "10")), dict(p_list_db=(None,))]
+        for change in bad:
+            config = BenchConfig(**{**base, **change})
+            with pytest.raises(ConfigError):
+                config.validate()
+            with pytest.raises(ConfigError):
+                run_benchmark(config)
+        # numpy integers and floats are numbers
+        BenchConfig(nt_list=(np.int64(2),), p_list_db=(np.float64(10.0),),
+                    trials=np.int64(1), seed=np.uint32(3)).validate()
+
     def test_negative_seed(self):
         # np.random.SeedSequence would reject it mid-run with a bare ValueError
         config = BenchConfig(nt_list=(2,), p_list_db=(10.0,), trials=1, seed=-1)

@@ -123,6 +123,10 @@ def test_delta_out_of_range():
         lll_reduce(np.eye(2), 0.25)
     with pytest.raises(PreconditionViolated):
         lll_reduce(np.eye(2), 1.5)
+    # NaN, and a delta that is not a real scalar
+    for delta in (math.nan, "0.5", None, 1j, np.array([0.5]), np.array([0.5, 0.6])):
+        with pytest.raises(PreconditionViolated):
+            lll_reduce(np.eye(2), delta)
 
 
 def test_singular_rejected():

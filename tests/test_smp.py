@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from ifsmp import (
     SearchBudgetExceeded,
     SingularCoefficientMatrix,
     SingularInput,
+    SmpSolution,
     WorkingBasis,
     baseline_smp,
     brute_force_smp,
@@ -30,6 +33,7 @@ from ifsmp import (
 from ifsmp import enumeration, lll, matrixcore, smp
 from ifsmp.bench import REDUCED_SOLVERS
 from ifsmp.enumeration import _search
+from ifsmp.receiver import _rate
 from ifsmp.smp import (
     _exchange,
     _exchange_basis,
@@ -497,13 +501,35 @@ class TestSolveSmp:
         assert sol.rate_total == 0.0
 
     def test_solution_is_frozen_without_dict(self):
-        # slots: no per-instance __dict__, and the fields stay read-only
+        # slots: no per-instance __dict__, and the fields stay read-only;
+        # only A* and lambda are stored
         sol = solve_smp(np.eye(2))
-        assert [f.name for f in dataclasses.fields(sol)] == [
-            "a_star", "lambdas", "objective", "rate_total"]
+        assert [f.name for f in dataclasses.fields(sol)] == ["a_star", "lambdas"]
         assert not hasattr(sol, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            sol.objective = 0.0
+            sol.lambdas = (0.0, 0.0)
+
+    def test_objective_and_rate_derive_from_lambdas(self, rng):
+        # the expressions solve_smp once stored, bit for bit, on every
+        # access; read-only, and following a replaced lambda
+        for p_db in (0.0, 10.0, 20.0):
+            for nt in (2, 3, 4):
+                for h in (rng.standard_normal((nt, nt)), duplicated_column(rng, nt)):
+                    sol = solve_smp(gram_matrix(h, 10.0 ** (p_db / 10.0)))
+                    lam = sol.lambdas
+                    assert sol.objective.hex() == (lam[-1] ** 2).hex()
+                    assert sol.rate_total.hex() == (len(lam) * _rate(lam[-1] ** 2)).hex()
+                    for name in ("objective", "rate_total"):
+                        with pytest.raises(dataclasses.FrozenInstanceError):
+                            setattr(sol, name, 0.0)
+                    new = dataclasses.replace(sol, lambdas=tuple(2 * x for x in lam))
+                    assert new.objective.hex() == (4 * lam[-1] ** 2).hex()
+                    assert new.rate_total.hex() == (len(lam) * _rate(4 * lam[-1] ** 2)).hex()
+                    assert new.a_star is sol.a_star
+        # pickle and copy rebuild it through __init__
+        for twin in (pickle.loads(pickle.dumps(sol)), copy.copy(sol), copy.deepcopy(sol)):
+            assert type(twin) is SmpSolution and twin.lambdas == sol.lambdas
+            np.testing.assert_array_equal(twin.a_star, sol.a_star)
 
     def test_diagonal_gram(self):
         sol = solve_smp(np.diag([9.0, 1.0]))

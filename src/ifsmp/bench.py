@@ -19,6 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigError, InvalidPower
+from .matrixcore import _real
 from .receiver import _check_power, gram_matrix, total_rate
 from .smp import ORACLE_MAX_DIM, _baseline, _brute_force, _pipeline, _rsmp
 
@@ -41,18 +42,21 @@ class BenchConfig:
             raise ConfigError(f"trials must be >= 1 and an integer, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be >= 0 and an integer, got {self.seed!r}")
+        if not all(isinstance(v, (tuple, list))
+                   for v in (self.nt_list, self.p_list_db, self.algorithms)):
+            raise ConfigError("nt_list, p_list_db and algorithms must be tuples or lists")
         if not self.nt_list or not all(_is_int(nt) and 1 <= nt <= MAX_NT for nt in self.nt_list):
             raise ConfigError(f"nt_list must contain integer dimensions from 1 to {MAX_NT}")
         if not self.p_list_db:
             raise ConfigError("p_list_db must not be empty")
         for p_db in self.p_list_db:
             try:
-                _check_power(db_to_linear(p_db))
-            except (InvalidPower, OverflowError, TypeError):  # TypeError: not a number
+                _check_power(db_to_linear(_real(p_db)))
+            except (InvalidPower, OverflowError):
                 raise ConfigError(f"power {p_db!r} dB is not a valid linear power") from None
-        unknown = set(self.algorithms) - set(REDUCED_SOLVERS)
+        unknown = [a for a in self.algorithms if not (isinstance(a, str) and a in REDUCED_SOLVERS)]
         if unknown or not self.algorithms:
-            raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
+            raise ConfigError(f"unknown algorithms: {unknown}")
         if "oracle" in self.algorithms and max(self.nt_list) > ORACLE_MAX_DIM:
             raise ConfigError(f"oracle allowed only for nt <= {ORACLE_MAX_DIM}")
 
@@ -95,7 +99,7 @@ def run_benchmark(config: BenchConfig) -> tuple[list[BenchRecord], list[dict]]:
     config.validate()
     records: list[BenchRecord] = []
     for nt in config.nt_list:
-        for p_idx, p_db in enumerate(config.p_list_db):
+        for p_idx, p_db in enumerate(map(_real, config.p_list_db)):
             p = db_to_linear(p_db)
             for trial in range(config.trials):
                 ss = _trial_seed_sequence(config.seed, nt, p_idx, trial)

@@ -45,7 +45,7 @@ from operator import mul
 from typing import Callable, Optional
 
 from .errors import PreconditionViolated
-from .matrixcore import _float_array, _int64, checked_rows
+from .matrixcore import _int64, _real, checked_rows
 
 
 def _search(
@@ -121,12 +121,13 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
     that does not fit raises CoefficientOverflow); its return value is
     ignored, so the radius stays beta for the whole walk.  Returns the
     number of vectors visited.  Raises PreconditionViolated unless beta is
-    a positive real number whose square is finite (an infinite radius
-    would never end the walk), then what `checked_rows` raises on r_bar.
+    a positive real scalar (`matrixcore._real`) whose square is finite (an
+    infinite radius would never end the walk), then what `checked_rows`
+    raises on r_bar.
     """
-    b = _float_array(beta)
+    b = _real(beta)
     try:
-        beta_sq = float(b) ** 2 if b.ndim == 0 and b > 0 else math.nan
+        beta_sq = b ** 2 if b > 0 else math.nan
     except OverflowError:  # a Python float square overflows with an error
         beta_sq = math.inf
     if not beta_sq < math.inf:

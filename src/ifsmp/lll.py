@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated, SearchBudgetExceeded
-from .matrixcore import _int64, _units, checked_rows
+from .matrixcore import _int64, _real, _units, checked_rows
 
 DEFAULT_DELTA = 0.75
 
@@ -68,18 +68,14 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     delta*r_{k-1,k-1}^2 <= r_{k-1,k}^2 + r_kk^2.  delta = 1 is accepted but
     may take superpolynomially many swaps.  z is int64; converting it
     raises CoefficientOverflow (an OverflowError) if an entry does not fit.
-    Checks delta first (a real scalar in (1/4, 1]), then the input
+    Checks delta first (a real scalar, read by `matrixcore._real`, in
+    (1/4, 1]; the Lovasz tests run on it as a Python float), then the input
     (`checked_rows`).
     """
-    # as `receiver._check_power`: an array with ndim > 0 is no scalar; NaN
-    # fails the comparisons, and a str, None or complex delta raises in them
-    try:
-        ok = not getattr(delta, "ndim", 0) and 0.25 < delta <= 1.0
-    except TypeError:
-        ok = False
-    if not ok:
+    d = _real(delta)
+    if not 0.25 < d <= 1.0:
         raise PreconditionViolated(f"delta must be a real scalar in (1/4, 1], got {delta!r}")
-    r_bar, z = _lll(_checked_columns(r), delta)
+    r_bar, z = _lll(_checked_columns(r), d)
     return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
 
 

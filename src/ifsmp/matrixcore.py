@@ -100,6 +100,23 @@ def _float_array(x) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _real(x) -> float:
+    """The one reader of a real scalar (P, delta, beta, a basis norm): x as
+    a Python float when `_float_array` reads it as a 0-d array, that is a
+    bool, int or float, Python or numpy, or a 0-d array of one; otherwise
+    NaN, which fails every range test.  A str, None, a complex number, an
+    array with ndim > 0, and a Fraction, a Decimal or an int beyond 64 bits
+    (numpy's object dtype) are no real scalar.  A Python float is returned
+    as it is, with no numpy call."""
+    if type(x) is float:
+        return x
+    try:
+        a = _float_array(x)
+    except PreconditionViolated:
+        return math.nan
+    return float(a) if a.ndim == 0 else math.nan
+
+
 def cholesky(g: np.ndarray) -> np.ndarray:
     """Upper-triangular Cholesky factor R of a symmetric positive definite
     matrix, with R^T R = g and positive diagonal: LAPACK ``dpotrf`` on the

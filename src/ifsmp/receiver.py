@@ -24,7 +24,7 @@ from .errors import (
     SingularCoefficientMatrix,
     ZeroVector,
 )
-from .matrixcore import _float_array, _to_int_rows, dposv, int_det
+from .matrixcore import _float_array, _real, _to_int_rows, dposv, int_det
 
 
 @lru_cache(maxsize=64)
@@ -42,20 +42,16 @@ def _finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
-def _check_power(p: float) -> None:
-    """The power rule of `gram_matrix`: raises InvalidPower unless P is a
-    real scalar with 0 < P < inf and 1/P finite."""
-    # a numpy array has an ndim, 0 for a numpy scalar; NaN fails the
-    # comparisons, and a str, None or complex P raises in them.  1/P is
-    # taken in Python floats, where a subnormal P overflows it to inf
-    # without a warning and an int too large for a float raises
-    try:
-        ok = not getattr(p, "ndim", 0) and 0 < p < math.inf and 1 / float(p) < math.inf
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
+def _check_power(p) -> float:
+    """The power rule of `gram_matrix`: P as a Python float; raises
+    InvalidPower unless P is a real scalar (`matrixcore._real`) with
+    0 < P < inf and 1/P finite (a Python float division, which a subnormal
+    P overflows to inf without a warning)."""
+    x = _real(p)
+    if not (0 < x < math.inf and 1 / x < math.inf):
         raise InvalidPower(f"power must be a positive, finite real scalar and not subnormal, "
                            f"got {p!r}")
+    return x
 
 
 def gram_matrix(h, p: float) -> np.ndarray:
@@ -63,14 +59,13 @@ def gram_matrix(h, p: float) -> np.ndarray:
     comes from a Cholesky solve, and the inverse is never formed.
 
     Positive definite with eigenvalues in (0, 1] for any finite H and
-    0 < P < inf.  Raises InvalidPower unless P is a real scalar (not a
-    string, None, a complex number or an array with ndim > 0) with
-    0 < P < inf and 1/P finite,
+    0 < P < inf.  Raises InvalidPower unless P is a real scalar, read by
+    `matrixcore._real`, with 0 < P < inf and 1/P finite,
     PreconditionViolated unless H is a nonempty 2-D matrix of finite real
     entries and H H^T + I/P is finite, and NotPositiveDefinite when
     H H^T + I/P is numerically singular.
     """
-    _check_power(p)
+    p = _check_power(p)
     h = _float_array(h)
     if h.ndim != 2 or not h.size or not _finite(h):
         raise PreconditionViolated(f"expected a nonempty finite 2-D channel, shape {h.shape}")

@@ -79,7 +79,7 @@ from .errors import (
 )
 from .lll import DEFAULT_DELTA, _checked_columns, _lll
 from .matrixcore import (
-    _check_diagonal, _check_pivots, _factor, _int64, _to_int_rows, _units, int_rank,
+    _check_diagonal, _check_pivots, _factor, _int64, _real, _to_int_rows, _units, int_rank,
 )
 from .receiver import _rate
 
@@ -209,20 +209,22 @@ def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
     `solve_rsmp` applies at every leaf, and adj(C) is built by it too.
     Raises PreconditionViolated unless C has n columns of n integers
     (`matrixcore._to_int_rows`: 2.0 is one, 1.5 is not) with n sorted
-    norms >= 0 (NaN fails) and the candidate is n integers, nonzero, with
-    a norm in [0, norms[-1]);
+    norms >= 0 and the candidate is n integers, nonzero, with a norm in
+    [0, norms[-1]); every norm is read by `matrixcore._real`, so one that
+    is no real scalar fails as NaN does, and a returned basis holds Python
+    floats.
     SingularCoefficientMatrix unless C is invertible.
     """
     *cols, coeffs = map(tuple, _to_int_rows([*basis.cols, cand.coeffs]))
-    norms = list(basis.norms)
+    norms, norm = list(map(_real, basis.norms)), _real(cand.norm)
     if not len(coeffs) == len(cols) == len(norms) or not all(map(le, [0, *norms], norms)):
         raise PreconditionViolated("expected n columns of n integers, n sorted norms >= 0, "
                                    "and n candidate integers")
-    if not any(coeffs) or not 0 <= cand.norm < norms[-1]:
-        raise PreconditionViolated(f"candidate {coeffs} is zero or its norm {cand.norm} "
+    if not any(coeffs) or not 0 <= norm < norms[-1]:
+        raise PreconditionViolated(f"candidate {coeffs} is zero or its norm {cand.norm!r} "
                                    f"is not in [0, {norms[-1]})")
     adj, d = _exchange_basis(cols)
-    if _exchange(cols, norms, adj, d, coeffs, cand.norm) is None:
+    if _exchange(cols, norms, adj, d, coeffs, norm) is None:
         return basis
     return WorkingBasis(cols=tuple(cols), norms=tuple(norms))
 

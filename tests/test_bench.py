@@ -60,11 +60,15 @@ class TestConfigValidation:
                 run_benchmark(config)
 
     def test_non_integer_counts_rejected(self):
-        # each would fail inside run_benchmark with a bare TypeError
+        # each would fail inside run_benchmark with a bare TypeError; a
+        # p_list_db entry that is no real scalar is pinned in
+        # test_matrixcore.py's table
         base = dict(nt_list=(2,), p_list_db=(10.0,), trials=1)
         bad = [dict(trials=1.5), dict(trials="2"), dict(seed=1.5), dict(seed="2"),
                dict(nt_list=(2, 1.5)), dict(nt_list=("2",)),
-               dict(p_list_db=(10.0, "10")), dict(p_list_db=(None,))]
+               # a container that is no tuple or list, or an unhashable name
+               dict(nt_list=2), dict(p_list_db=10.0), dict(algorithms=None),
+               dict(algorithms=(["new"],))]
         for change in bad:
             config = BenchConfig(**{**base, **change})
             with pytest.raises(ConfigError):

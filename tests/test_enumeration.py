@@ -52,9 +52,10 @@ class TestEnumerateBelow:
         assert count == 2
 
     def test_nonpositive_beta_rejected(self):
-        # beta must be a positive real whose square is finite: an infinite
-        # one would never end the walk, and 1e308 ** 2 overflows
-        for beta in (0.0, -1.0, np.nan, np.inf, 1e308, "x", 1j, [1.0]):
+        # beta must be positive with a finite square: an infinite one would
+        # never end the walk, and 1e308 ** 2 overflows.  What is a real
+        # scalar is pinned in test_matrixcore.py's table
+        for beta in (0.0, -1.0, np.nan, np.inf, 1e308):
             with pytest.raises(PreconditionViolated):
                 enumerate_below(np.eye(2), beta, lambda c: None)
 

@@ -123,10 +123,21 @@ def test_delta_out_of_range():
         lll_reduce(np.eye(2), 0.25)
     with pytest.raises(PreconditionViolated):
         lll_reduce(np.eye(2), 1.5)
-    # NaN, and a delta that is not a real scalar
-    for delta in (math.nan, "0.5", None, 1j, np.array([0.5]), np.array([0.5, 0.6])):
-        with pytest.raises(PreconditionViolated):
-            lll_reduce(np.eye(2), delta)
+    # NaN fails the range test; what is a real scalar is pinned in
+    # test_matrixcore.py's table
+    with pytest.raises(PreconditionViolated):
+        lll_reduce(np.eye(2), math.nan)
+
+
+def test_numpy_delta_runs_in_float64():
+    # r misses the Lovasz condition for delta = float32(0.99) by 1e-12, so
+    # float64 Lovasz tests swap; float32 ones would keep z = I
+    delta = float(np.float32(0.99))
+    r = np.array([[1.0, 0.5], [0.0, math.sqrt(delta - 1e-12 - 0.25)]])
+    ref = lll_reduce(r, delta)
+    np.testing.assert_array_equal(ref.z, [[0, 1], [1, -1]])
+    res = lll_reduce(r, np.float32(0.99))
+    assert res.z.tobytes() == ref.z.tobytes() and res.r_bar.tobytes() == ref.r_bar.tobytes()
 
 
 def test_singular_rejected():

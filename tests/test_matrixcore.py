@@ -6,14 +6,23 @@ import pytest
 from scipy.linalg.lapack import dpotrf
 
 from ifsmp import (
+    BenchConfig,
+    Candidate,
+    ConfigError,
+    InvalidPower,
     NotPositiveDefinite,
     NotSymmetric,
     PreconditionViolated,
+    WorkingBasis,
     cholesky,
+    enumerate_below,
     gram_matrix,
     int_det,
     int_rank,
+    lll_reduce,
+    run_benchmark,
     total_rate,
+    update_basis,
 )
 
 
@@ -183,3 +192,72 @@ class TestIntDet:
                 m[:, 0] = 0
             assert int_det(m) == round(np.linalg.det(m))
             assert (int_rank(m) == n) == (int_det(m) != 0)
+
+
+def _gram_bytes(p):
+    return gram_matrix(np.array([[1.0, 0.5], [0.2, 2.0]]), p).tobytes()
+
+
+def _lll_bytes(delta):
+    res = lll_reduce(np.array([[1.0, 0.9], [0.0, 0.5]]), delta)
+    return res.z.tobytes(), res.r_bar.tobytes()
+
+
+def _visits(beta):
+    seen = []
+    count = enumerate_below(np.diag([1.0, 1.5]), beta, lambda c: seen.append(tuple(c)))
+    return count, seen
+
+
+def _updated(norms, cand_norm):
+    out = update_basis(WorkingBasis(cols=((1, 0), (0, 1)), norms=norms),
+                       Candidate(coeffs=(1, 1), norm=cand_norm))
+    return out.cols, [float.hex(v) for v in out.norms]  # float.hex: Python floats only
+
+
+def _bench_rates(p_db):
+    records, _ = run_benchmark(BenchConfig(nt_list=(2,), p_list_db=(p_db,), trials=1,
+                                           algorithms=("new",)))
+    return [(r.p_db.hex(), r.rate_total.hex()) for r in records]
+
+
+# Every site that reads a real scalar, through matrixcore._real: the call,
+# its typed error, a valid value that is not an integer and a valid integer.
+SCALAR_SITES = {
+    "power": (_gram_bytes, InvalidPower, 3.3, 10),
+    "delta": (_lll_bytes, PreconditionViolated, 0.99, 1),
+    "beta": (_visits, PreconditionViolated, 1.7, 2),
+    "candidate-norm": (lambda v: _updated((1.0, 3.0), v), PreconditionViolated, 2.5, 2),
+    "basis-norm": (lambda v: _updated((v, 3.0), 2.5), PreconditionViolated, 0.7, 1),
+    "p_list_db": (_bench_rates, ConfigError, 3.3, 10),
+}
+
+
+def _not_real(x):
+    """No real scalar, whatever the range: a string, None, complex numbers,
+    sequences and arrays with ndim > 0, and the object-dtype numbers (an int
+    beyond 64 bits, a Fraction) that a real matrix may not hold."""
+    return {"str": "10", "None": None, "complex": 1j, "complex128": np.complex128(10),
+            "complex-0d": np.array(0.5 + 0j), "list": [x], "array-1d": np.array([x]),
+            "huge-int": 10**400, "Fraction": Fraction(1, 2)}
+
+
+def _reals(x, k):
+    """Real scalars of other types than a Python float."""
+    return {"float32": np.float32(x), "array-0d": np.array(x), "int64": np.int64(k), "int": k}
+
+
+@pytest.mark.parametrize("site, kind", [(site, kind) for site in SCALAR_SITES
+                                        for kind in _not_real(0.0)])
+def test_not_real_scalar_rejected(site, kind):
+    run, error, x, _ = SCALAR_SITES[site]
+    with pytest.raises(error):
+        run(_not_real(x)[kind])
+
+
+@pytest.mark.parametrize("site, kind", [(site, kind) for site in SCALAR_SITES
+                                        for kind in _reals(0.0, 0)])
+def test_real_scalar_read_as_float(site, kind):
+    run, _, x, k = SCALAR_SITES[site]
+    value = _reals(x, k)[kind]
+    assert run(value) == run(float(value))

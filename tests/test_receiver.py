@@ -42,18 +42,11 @@ class TestGramMatrix:
         np.testing.assert_allclose(gram_matrix(np.eye(2), 9.0), 0.1 * np.eye(2))
 
     def test_invalid_power(self):
-        # 1/P overflows for a subnormal P
+        # out of range; 1/P overflows for a subnormal P.  What is a real
+        # scalar is pinned in test_matrixcore.py's table
         for p in (0.0, -1.0, np.nan, np.inf, 1e-320, np.float64(1e-320)):
             with pytest.raises(InvalidPower):
                 gram_matrix(np.eye(2), p)
-        # not a real scalar: a string, None, a complex number, an array
-        # with ndim > 0, and an int too large for a float
-        for p in ("10", None, 1j, np.array([10.0]), np.array([10.0, 1.0]), [10.0], 10**400):
-            with pytest.raises(InvalidPower):
-                gram_matrix(np.eye(2), p)
-        # real scalars of other types still pass
-        for p in (10, np.float32(10.0), np.int64(10), np.array(10.0)):
-            np.testing.assert_array_equal(gram_matrix(np.eye(2), p), gram_matrix(np.eye(2), 10.0))
 
     def test_invalid_channel(self):
         for h in (np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([[np.inf, 0.0]]),

@@ -98,11 +98,12 @@ def run_benchmark(config: BenchConfig) -> tuple[list[BenchRecord], list[dict]]:
     """
     config.validate()
     records: list[BenchRecord] = []
-    for nt in config.nt_list:
+    trials, seed = int(config.trials), int(config.seed)  # Python ints, which json writes
+    for nt in map(int, config.nt_list):
         for p_idx, p_db in enumerate(map(_real, config.p_list_db)):
             p = db_to_linear(p_db)
-            for trial in range(config.trials):
-                ss = _trial_seed_sequence(config.seed, nt, p_idx, trial)
+            for trial in range(trials):
+                ss = _trial_seed_sequence(seed, nt, p_idx, trial)
                 seed_used = int(ss.generate_state(1)[0])
                 rng = np.random.default_rng(ss)
                 h = generate_channel(nt, rng)

@@ -90,14 +90,32 @@ dposv, dpotrf = _flapack.dposv, _flapack.dpotrf
 def _float_array(x) -> np.ndarray:
     """x as a float64 ndarray; raises PreconditionViolated unless numpy reads
     it as an array of real numbers (bool, integer or float dtype), so that a
-    complex, string or ragged input is not cast silently or failed untyped."""
+    complex, string or ragged input is not cast silently or failed untyped.
+    A long double beyond the float64 range reads as +-inf, which each
+    site's own finite test rejects."""
     try:
         a = np.asarray(x)
     except ValueError:  # a ragged nested sequence
         raise PreconditionViolated("expected an array of real numbers") from None
     if a.dtype.kind not in "biuf":
         raise PreconditionViolated(f"expected an array of real numbers, got dtype {a.dtype}")
+    if a.dtype.itemsize > 8:  # a long double; float64 input skips the errstate cost
+        with np.errstate(over="ignore"):
+            return a.astype(float)
     return a.astype(float, copy=False)
+
+
+def _real_array(x, ndim: int) -> tuple[np.ndarray, float]:
+    """The one reader of a real array (H, a triangular input, the rate side's
+    a and G): x read by `_float_array`, and the sum of its squared entries
+    as a Python float, which is not finite when an entry is NaN or infinite
+    or the squares overflow.  Raises PreconditionViolated unless x is a
+    nonempty ndim-D array; each caller applies its own bound to the sum."""
+    a = _float_array(x)
+    if a.ndim != ndim or not a.size:
+        raise PreconditionViolated(f"expected a nonempty {ndim}-D array, got shape {a.shape}")
+    flat = a.ravel().tolist()
+    return a, sum(map(mul, flat, flat))
 
 
 def _real(x) -> float:
@@ -168,9 +186,8 @@ def _check_pivots(diag: list[float], info: int) -> None:
 
 
 def checked_rows(m) -> list[list[float]]:
-    """The one gate of a triangular input: m, read as real numbers by
-    `_float_array` (as `cholesky` reads G), as a list of rows of Python
-    floats, converted by one ``tolist``.
+    """The one gate of a triangular input: m, read by `_real_array`, as a
+    list of rows of Python floats, converted by one ``tolist``.
 
     Raises PreconditionViolated unless m is a nonempty square 2-D matrix
     of real numbers, SingularInput unless its diagonal passes
@@ -178,13 +195,12 @@ def checked_rows(m) -> list[list[float]]:
     sum to a finite float, which a NaN, an infinite entry or an overflow
     prevents.
     """
-    m = _float_array(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+    m, squares = _real_array(m, 2)
+    if m.shape[0] != m.shape[1]:
         raise PreconditionViolated(f"expected a nonempty square 2-D matrix, got shape {m.shape}")
     rows = m.tolist()
     _check_diagonal([abs(row[i]) for i, row in enumerate(rows)])
-    flat = sum(rows, [])
-    if not sum(map(mul, flat, flat)) < math.inf:
+    if not squares < math.inf:
         raise PreconditionViolated("matrix has a NaN or infinite entry, or squares that overflow")
     return rows
 

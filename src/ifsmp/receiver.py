@@ -7,7 +7,8 @@ here consume coefficient ROWS, so callers pass the solver output transposed.
 The Cholesky solve in `gram_matrix` is one call of LAPACK dposv as loaded
 by `matrixcore._load_flapack`, the library's one LAPACK loader.  DPOSV is
 DPOTRF followed by DPOTRS, the very routines `cho_factor`/`cho_solve` run
-through `scipy.linalg.lapack`, on the same triangle, so G has their bits.
+through `scipy.linalg.lapack`, on the same triangle, so G has their bits,
+without the wrappers' per-call checks, which cost more than LAPACK here.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     SingularCoefficientMatrix,
     ZeroVector,
 )
-from .matrixcore import _float_array, _real, _to_int_rows, dposv, int_det
+from .matrixcore import _float_array, _real, _real_array, _to_int_rows, dposv, int_det
 
 
 @lru_cache(maxsize=64)
@@ -34,12 +35,6 @@ def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
-
-
-def _finite(a: np.ndarray) -> bool:
-    """Whether every entry of a float array is finite, tested on Python
-    floats: the same decision as numpy's, and cheaper at these sizes."""
-    return all(map(math.isfinite, a.ravel().tolist()))
 
 
 def _check_power(p) -> float:
@@ -61,19 +56,17 @@ def gram_matrix(h, p: float) -> np.ndarray:
     Positive definite with eigenvalues in (0, 1] for any finite H and
     0 < P < inf.  Raises InvalidPower unless P is a real scalar, read by
     `matrixcore._real`, with 0 < P < inf and 1/P finite,
-    PreconditionViolated unless H is a nonempty 2-D matrix of finite real
-    entries and H H^T + I/P is finite, and NotPositiveDefinite when
-    H H^T + I/P is numerically singular.
+    PreconditionViolated unless H is a nonempty 2-D real matrix, read by
+    `matrixcore._real_array`, whose sum of squares s gives a finite
+    2 (s + 1/P), and NotPositiveDefinite when H H^T + I/P is numerically
+    singular.
     """
     p = _check_power(p)
-    h = _float_array(h)
-    if h.ndim != 2 or not h.size or not _finite(h):
-        raise PreconditionViolated(f"expected a nonempty finite 2-D channel, shape {h.shape}")
+    h, squares = _real_array(h, 2)
+    # |(H H^T + I/P)_ij| <= s + 1/P, and the 2 covers rounding: m is finite
+    if not 2 * (squares + 1 / p) < math.inf:
+        raise PreconditionViolated("H has a NaN or infinite entry, or H H^T + I/P may overflow")
     m = h @ h.T + _identity(h.shape[0]) / p
-    # m is PSD, so a finite diagonal bounds every entry.  dposv factors and
-    # solves as cho_factor/cho_solve do, without their costly per-call checks.
-    if not _finite(m.diagonal()):
-        raise PreconditionViolated("H H^T + I/P overflows")
     _, x, info = dposv(m, h, lower=0)
     if info > 0:
         raise NotPositiveDefinite("H H^T + I/P is numerically singular")
@@ -84,13 +77,13 @@ def gram_matrix(h, p: float) -> np.ndarray:
 
 
 def _checked_gram(g, n: int) -> np.ndarray:
-    """G as a float array; raises PreconditionViolated unless it is a real,
-    finite n x n matrix."""
-    g = _float_array(g)
+    """G, read by `matrixcore._real_array`; raises PreconditionViolated
+    unless it is an n x n real matrix whose squares sum to a finite float."""
+    g, squares = _real_array(g, 2)
     if g.shape != (n, n):
         raise PreconditionViolated(f"expected a square G as wide as a, got shape {g.shape}")
-    if not _finite(g):
-        raise PreconditionViolated("G has a NaN or infinite entry")
+    if not squares < math.inf:
+        raise PreconditionViolated("G has a NaN or infinite entry, or squares that overflow")
     return g
 
 
@@ -105,23 +98,26 @@ def _rate(quad: float) -> float:
 def rate_m(a_m, g) -> float:
     """Per-stream achievable rate max(0, log2(1 / a^T G a) / 2).
 
-    Raises ZeroVector for an all-zero a, and PreconditionViolated unless a
-    is a real 1-D vector and G a real, finite, square matrix as wide as a
-    with a^T G a > 0.
+    a and G are read by `matrixcore._real_array`.  Raises
+    PreconditionViolated unless a is a nonempty real 1-D vector whose
+    squares sum to a finite float, ZeroVector for an all-zero a, and
+    PreconditionViolated unless G is a square real matrix as wide as a
+    whose squares sum to a finite float, with a^T G a > 0.
     """
-    a_m = _float_array(a_m)
+    a_m, squares = _real_array(a_m, 1)
+    if not squares < math.inf:
+        raise PreconditionViolated("a has a NaN or infinite entry, or squares that overflow")
     if not np.any(a_m):
         raise ZeroVector("coefficient vector must be nonzero")
-    if a_m.ndim != 1:
-        raise PreconditionViolated(f"expected a 1-D coefficient vector, got shape {a_m.shape}")
     g = _checked_gram(g, a_m.size)
     return _rate(float(a_m @ g @ a_m))
 
 
 def total_rate(a, g) -> float:
     """Total rate N_t * min_m rate_m over the rows of an invertible a;
-    raises what `int_det` and `rate_m` raise on a and G.  G is checked
-    once, and each row's a^T G a is the product `rate_m` forms."""
+    raises what `int_det` and `rate_m` raise on a and G.  G is read once,
+    by `matrixcore._real_array`, and each row's a^T G a is the product
+    `rate_m` forms."""
     rows = _to_int_rows(a)
     if int_det(rows) == 0:
         raise SingularCoefficientMatrix("coefficient matrix must be invertible")

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,22 @@ class TestOutput:
         assert set(payload) == {"records", "summary"}
         assert payload["records"][0]["algorithm"] == "new"
         assert payload["summary"][0]["trials"] == 1
+
+    def test_numpy_int_config_writes_python_ints(self, tmp_path):
+        # validate accepts numpy integers for nt_list, trials and seed; the
+        # records must hold Python ints, or json cannot write them
+        def written(nt, trials, seed):
+            config = BenchConfig(nt_list=(nt,), p_list_db=(2.0,), trials=trials, seed=seed,
+                                 algorithms=("new",))
+            records, summary = run_benchmark(config)
+            records = [replace(r, wall_time_s=0.0) for r in records]  # the one unseeded field
+            write_json(records, summary, str(tmp_path / "out.json"))
+            write_csv(records, str(tmp_path / "out.csv"))
+            payload = json.loads((tmp_path / "out.json").read_text())
+            assert payload["records"] == [asdict(r) for r in records]
+            return (tmp_path / "out.csv").read_bytes()
+
+        assert written(np.int64(2), np.int64(2), np.int64(3)) == written(2, 2, 3)
 
 
 class TestCli:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,13 +15,17 @@ from ifsmp import (
     NotSymmetric,
     PreconditionViolated,
     WorkingBasis,
+    baseline_smp,
+    brute_force_smp,
     cholesky,
     enumerate_below,
     gram_matrix,
     int_det,
     int_rank,
     lll_reduce,
+    rate_m,
     run_benchmark,
+    solve_rsmp,
     total_rate,
     update_basis,
 )
@@ -198,14 +203,14 @@ def _gram_bytes(p):
     return gram_matrix(np.array([[1.0, 0.5], [0.2, 2.0]]), p).tobytes()
 
 
-def _lll_bytes(delta):
-    res = lll_reduce(np.array([[1.0, 0.9], [0.0, 0.5]]), delta)
+def _lll_bytes(delta, r=((1.0, 0.9), (0.0, 0.5))):
+    res = lll_reduce(r, delta)
     return res.z.tobytes(), res.r_bar.tobytes()
 
 
-def _visits(beta):
+def _visits(beta, r=((1.0, 0.0), (0.0, 1.5))):
     seen = []
-    count = enumerate_below(np.diag([1.0, 1.5]), beta, lambda c: seen.append(tuple(c)))
+    count = enumerate_below(r, beta, lambda c: seen.append(tuple(c)))
     return count, seen
 
 
@@ -261,3 +266,95 @@ def test_real_scalar_read_as_float(site, kind):
     run, _, x, k = SCALAR_SITES[site]
     value = _reals(x, k)[kind]
     assert run(value) == run(float(value))
+
+
+def _solved(solver):
+    def run(r):
+        c_star, lambdas = solver(r)
+        return c_star.tobytes(), [v.hex() for v in lambdas]
+    return run
+
+
+# Every site that reads a real array from outside: the call, its typed
+# error, a valid input of small integers, and the inputs whose typed error
+# differs from the site's own.  H, the rate side's a and G and every
+# triangular input go through matrixcore._real_array; cholesky keeps its
+# own rule for G (non-square first, then entry-wise finite, then pivots),
+# and a G of 1e200 entries that it can factor is valid, so its large case
+# is one whose last pivot overflows.
+ARRAY_SITES = {
+    "H/gram_matrix": (lambda x: gram_matrix(x, 10.0).tobytes(), PreconditionViolated,
+                      [[2, 1], [0, 3]], {}),
+    "G/cholesky": (lambda x: cholesky(x).tobytes(), PreconditionViolated, [[2, 0], [0, 3]],
+                   {"0-d": NotSymmetric, "wrong-ndim": NotSymmetric,
+                    "1e200": ([[1e-300, 0.0, 1e200], [0.0, 1.0, 0.5], [1e200, 0.5, 1.0]],
+                              NotPositiveDefinite)}),
+    "G/rate_m": (lambda x: rate_m([1, 0], x).hex(), PreconditionViolated, [[2, 1], [1, 2]], {}),
+    "G/total_rate": (lambda x: total_rate([[1, 0], [0, 1]], x).hex(), PreconditionViolated,
+                     [[2, 1], [1, 2]], {}),
+    "R/lll_reduce": (lambda x: _lll_bytes(0.75, x), PreconditionViolated, [[2, 1], [0, 3]], {}),
+    "R/enumerate_below": (lambda x: _visits(2.5, x), PreconditionViolated, [[2, 1], [0, 3]], {}),
+    "R/solve_rsmp": (_solved(solve_rsmp), PreconditionViolated, [[2, 1], [0, 3]], {}),
+    "R/baseline_smp": (_solved(baseline_smp), PreconditionViolated, [[2, 1], [0, 3]], {}),
+    "R/brute_force_smp": (_solved(brute_force_smp), PreconditionViolated, [[2, 1], [0, 3]], {}),
+    "a/rate_m": (lambda x: rate_m(x, 0.25 * np.eye(2)).hex(), PreconditionViolated, [1, 2], {}),
+}
+
+
+def _with(base, value, dtype=None):
+    """base with its entry at (0, 1) (at 1 in a vector) set to value."""
+    x = np.array(base, dtype=dtype)
+    x[(0, 1)[-x.ndim:]] = value
+    return x
+
+
+def _ragged(base):
+    rows = np.array(base).tolist()
+    return rows[:-1] + [rows[-1][:-1]] if isinstance(rows[0], list) else [rows, rows[:-1]]
+
+
+def _not_real_array(base):
+    """No finite real array of the site's shape: NaN, infinite and
+    out-of-range long double entries, non-real or ragged input, an integer
+    no float holds, a 0-d array, the wrong ndim, an empty array, and
+    entries whose squares overflow."""
+    base = np.array(base, dtype=float)
+    ndim = base.ndim
+    return {"nan": _with(base, np.nan), "+inf": _with(base, np.inf), "-inf": _with(base, -np.inf),
+            "longdouble": _with(base, np.longdouble("1e400"), np.longdouble),
+            "complex": base.astype(complex), "str": base.astype(str), "ragged": _ragged(base),
+            "huge-int": _with(base, 10**400, object).tolist(), "0-d": np.array(1.0),
+            "wrong-ndim": np.zeros((2,) * (ndim + 1)), "empty": np.zeros((0,) * ndim),
+            "1e200": 1e200 * base}
+
+
+def _real_arrays(base):
+    """Real arrays of other dtypes than float64; float32 and long double
+    entries that are not integers."""
+    base = np.array(base)
+    return {"float32": (base / 3).astype(np.float32), "int64": base.astype(np.int64),
+            "bool": base.astype(bool), "longdouble": base.astype(np.longdouble) / 3}
+
+
+@pytest.mark.parametrize("site, kind", [(site, kind) for site in ARRAY_SITES
+                                        for kind in _not_real_array(np.eye(2))])
+def test_not_real_array_rejected(site, kind):
+    run, error, base, special = ARRAY_SITES[site]
+    x = _not_real_array(base)[kind]
+    error = special.get(kind, error)
+    if isinstance(error, tuple):
+        x, error = error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            run(x)
+
+
+@pytest.mark.parametrize("site, kind", [(site, kind) for site in ARRAY_SITES
+                                        for kind in _real_arrays(np.eye(2))])
+def test_real_array_read_as_float64(site, kind):
+    run, _, base, _ = ARRAY_SITES[site]
+    x = _real_arrays(base)[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(x) == run(x.astype(float))

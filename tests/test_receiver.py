@@ -54,9 +54,13 @@ class TestGramMatrix:
                   np.zeros((2, 0))):
             with pytest.raises(PreconditionViolated):
                 gram_matrix(h, 10.0)
-        # finite H whose H H^T overflows: numpy warns in the product itself
-        with pytest.raises(PreconditionViolated), pytest.warns(RuntimeWarning, match="overflow"):
+        # finite H whose H H^T would overflow: rejected before the product,
+        # with no warning (warnings are errors in this suite)
+        with pytest.raises(PreconditionViolated):
             gram_matrix(np.full((2, 2), 1e200), 1.0)
+        # a normal P whose 1/P is finite and 2/P is not fails the same bound
+        with pytest.raises(PreconditionViolated):
+            gram_matrix(np.eye(2), 1e-308)
         # finite H H^T + I/P that is singular in floating point
         for h, p in ((np.ones((3, 3)), 1e20), (np.ones((4, 4)), 1e16)):
             with pytest.raises(NotPositiveDefinite):

@@ -33,9 +33,10 @@ and tests a node at level k against radii[top]: every leaf below it ends
 at c_top.  `enumerate_below`, the oracle and the baseline pass a flat list,
 which is the ordinary sphere; `smp.solve_rsmp` derives tighter radii for
 the low subspaces from its basis, so it never enters a region where every
-leaf would be rejected.  The walk trusts its rows to have passed
-`matrixcore.checked_rows`, which keeps every square it compares a normal
-float: no radius or distance underflows to zero or overflows.
+leaf would be rejected.  The walk trusts its rows to have come through
+one of the two ways in (`matrixcore`), which keep every square it
+compares a normal float: no radius or distance underflows to zero or
+overflows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from operator import mul
 from typing import Callable, Optional
 
 from .errors import PreconditionViolated
-from .matrixcore import _int64, _real, checked_rows
+from .matrixcore import _int64, _real, checked_columns
 
 
 def _search(
@@ -122,8 +123,8 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
     ignored, so the radius stays beta for the whole walk.  Returns the
     number of vectors visited.  Raises PreconditionViolated unless beta is
     a positive real scalar (`matrixcore._real`) whose square is finite (an
-    infinite radius would never end the walk), then what `checked_rows`
-    raises on r_bar.
+    infinite radius would never end the walk), then what
+    `matrixcore.checked_columns` raises on r_bar.
     """
     b = _real(beta)
     try:
@@ -132,7 +133,7 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
         beta_sq = math.inf
     if not beta_sq < math.inf:
         raise PreconditionViolated(f"beta must be positive with a finite square, got {beta!r}")
-    rows = checked_rows(r_bar)
+    rows = list(zip(*checked_columns(r_bar)))
 
     def on_leaf(c: list[int], norm_sq: float) -> None:
         visit(_int64([c])[0])

@@ -12,19 +12,15 @@ The one implementation, the kernel `_lll`, runs on Python lists: the
 columns of r_bar as floats and the columns of Z as exact Python ints, so a
 step costs no numpy scalar access or fancy indexing and Z cannot overflow.
 It takes the columns of R, which it reduces in place, and trusts them to
-have a positive diagonal.  Z starts as the shared unit columns
-`matrixcore._units(n)`, tuples that a step replaces and never writes to.
+have passed one of the two ways in (`matrixcore`).  Z starts as the
+shared unit columns `matrixcore._units(n)`, tuples that a step replaces
+and never writes to.
 The kernel returns r_bar as its rows, the tuples ``zip`` makes, which
 `smp._pipeline` hands straight to the reduced solver, and z as the list of
 its columns, from which `smp._unreduce` gathers a_star; every consumer
 only reads them.  `lll_reduce` is the public ndarray wrapper: it checks
 delta (the pipeline always runs at DEFAULT_DELTA), takes R's columns from
-`_checked_columns`, and transposes z once.  `_checked_columns` is the one
-entry of a public triangular input into `_lll`, shared with the three
-public reduced solvers of `smp`: it passes R through the gate of every
-public triangular input, `matrixcore.checked_rows`, flips the rows with
-a negative diagonal entry (`_pipeline`'s R from Cholesky has none), and
-reads the upper triangle only.
+`matrixcore.checked_columns`, and transposes z once.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionViolated, SearchBudgetExceeded
-from .matrixcore import _int64, _real, _units, checked_rows
+from .matrixcore import _int64, _real, _units, checked_columns
 
 DEFAULT_DELTA = 0.75
 
@@ -70,31 +66,18 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     raises CoefficientOverflow (an OverflowError) if an entry does not fit.
     Checks delta first (a real scalar, read by `matrixcore._real`, in
     (1/4, 1]; the Lovasz tests run on it as a Python float), then the input
-    (`checked_rows`).
+    (`matrixcore.checked_columns`).
     """
     d = _real(delta)
     if not 0.25 < d <= 1.0:
         raise PreconditionViolated(f"delta must be a real scalar in (1/4, 1], got {delta!r}")
-    r_bar, z = _lll(_checked_columns(r), d)
+    r_bar, z = _lll(checked_columns(r), d)
     return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
 
 
-def _checked_columns(r) -> list[list[float]]:
-    """The columns `_lll` takes, from a public triangular input: r through
-    `checked_rows`, with the rows that have a negative diagonal entry
-    flipped first (sign flips live in Q).  Only the upper triangle is
-    read, as the enumeration does: entries below the diagonal become 0.0,
-    where a swap's rotation would otherwise mix them in."""
-    rows = checked_rows(r)
-    for i, row in enumerate(rows):
-        if row[i] < 0:
-            row[i:] = [-v for v in row[i:]]
-    return [list(col[:k + 1]) + [0.0] * (len(col) - k - 1) for k, col in enumerate(zip(*rows))]
-
-
 def _lll(cols: list[list[float]], delta: float) -> tuple[list[tuple[float, ...]], list]:
-    """The LLL kernel: `lll_reduce` on the columns of an R that passes
-    `checked_rows`'s rules and has a positive diagonal, for a delta in
+    """The LLL kernel: `lll_reduce` on the columns of an R that came
+    through one of the two ways in (`matrixcore`), for a delta in
     (1/4, 1].  The columns are reduced in place.  Returns the rows of r_bar
     as tuples of floats and the columns of z as sequences of Python ints:
     z starts from the shared `_units(n)`, whose tuples a step replaces with

@@ -1,16 +1,17 @@
 """Dense real linear algebra and exact integer matrix utilities.
 
-Real matrices enter as ``numpy.ndarray`` (float64).  A triangular matrix
-passed to a public reduction, enumeration or reduced-solver entry point
-passes one gate, `checked_rows`, which returns it as a list of rows of
-Python floats.  The solve pipeline builds its triangular factor itself,
-with the two halves of `cholesky`: `_factor` checks G and factors it, and
-`_check_pivots` checks the factor's diagonal.  It reads R's columns and
-diagonal once, and applies to that one diagonal list the pivot check and
-then the gate's diagonal rule alone, `_check_diagonal`; no stage after it
-checks its input again.  `_units(n)`, the n unit columns as tuples of
-ints, is built once per n and shared by every solve that starts from an
-identity.
+Real matrices enter as ``numpy.ndarray`` (float64).  There are exactly
+two ways into the solve tail (`smp._tail`), and both are here:
+
+- G goes through `cholesky`; `smp._pipeline` reads R's columns once and
+  applies `_check_diagonal` to their diagonal.
+- A triangular input (`lll_reduce`, `enumerate_below` and the three
+  public reduced solvers) goes through `checked_columns`, which returns
+  the columns of its upper triangle with negative-diagonal rows flipped.
+
+No stage after them checks its input again.  `_units(n)`, the n unit
+columns as tuples of ints, is built once per n and shared by every solve
+that starts from an identity.
 
 `cholesky` and `receiver.gram_matrix` call LAPACK from scipy's compiled
 ``scipy/linalg/_flapack``, which `_load_flapack` loads once by file.  It
@@ -140,22 +141,16 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     matrix, with R^T R = g and positive diagonal: LAPACK ``dpotrf`` on the
     upper triangle, with the lower one zeroed.
 
-    Raises PreconditionViolated (not real, empty, or a NaN / infinite
-    entry), NotSymmetric or NotPositiveDefinite; each test fails on a NaN.
-    ``dpotrf`` reports success on some finite g whose pivots overflow to
-    NaN, so a diagonal entry that is not positive fails too.  A returned R
-    is then finite: every entry above the diagonal enters the pivot of its
-    column, which a NaN or infinite one would make NaN or -inf.
+    Raises PreconditionViolated (not real, empty, a NaN / infinite entry,
+    or a trace that overflows), NotSymmetric or NotPositiveDefinite; each
+    test fails on a NaN.  The trace is the sum of R's squared entries, so
+    a returned R passes the squares rule of `checked_columns` (up to
+    rounding at the bound).  ``dpotrf`` reports success on some finite g
+    whose pivots overflow to NaN, so a diagonal entry that is not positive
+    fails too.  A returned R is then finite: every entry above the
+    diagonal enters the pivot of its column, which a NaN or infinite one
+    would make NaN or -inf.
     """
-    r, info = _factor(g)
-    _check_pivots(r.diagonal().tolist(), info)
-    return r
-
-
-def _factor(g) -> tuple[np.ndarray, int]:
-    """`cholesky` up to its pivot check: G checked, then ``dpotrf``'s factor
-    and its ``info`` (> 0: the leading minor of that order is not positive
-    definite)."""
     g = _float_array(g)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {g.shape}")
@@ -165,6 +160,8 @@ def _factor(g) -> tuple[np.ndarray, int]:
     flat = sum(rows, [])
     if not all(map(math.isfinite, flat)):
         raise PreconditionViolated("matrix has a NaN or infinite entry")
+    if not sum(flat[::len(rows) + 1]) < math.inf:
+        raise PreconditionViolated("matrix has a trace that overflows")
     transposed = sum(zip(*rows), ())
     if tuple(flat) != transposed:  # gram_matrix's G is exactly symmetric
         asym = max(map(abs, map(sub, flat, transposed)))
@@ -173,44 +170,44 @@ def _factor(g) -> tuple[np.ndarray, int]:
     r, info = dpotrf(g, lower=0, clean=1)
     if info < 0:
         raise ValueError(f"LAPACK rejected argument {-info}")
-    return r, info
-
-
-def _check_pivots(diag: list[float], info: int) -> None:
-    """`cholesky`'s pivot check on the diagonal of ``dpotrf``'s factor:
-    raises NotPositiveDefinite if ``info`` reports a failed pivot or an
-    entry is not positive (a NaN pivot fails too)."""
+    diag = r.diagonal().tolist()
     if info or not all(map((0.0).__lt__, diag)):
         j = info - 1 if info else next(i for i, d in enumerate(diag) if not d > 0.0)
         raise NotPositiveDefinite(f"pivot {diag[j]} at index {j}")
+    return r
 
 
-def checked_rows(m) -> list[list[float]]:
-    """The one gate of a triangular input: m, read by `_real_array`, as a
-    list of rows of Python floats, converted by one ``tolist``.
+def checked_columns(m) -> list[list[float]]:
+    """The one gate of a triangular input: the columns of m's upper
+    triangle as lists of Python floats, with every row whose diagonal entry
+    is negative flipped (sign flips live in Q).  Entries below the diagonal
+    count only in the squares rule; the columns hold 0.0 there.
 
-    Raises PreconditionViolated unless m is a nonempty square 2-D matrix
-    of real numbers, SingularInput unless its diagonal passes
-    `_check_diagonal`, and PreconditionViolated unless its squared entries
-    sum to a finite float, which a NaN, an infinite entry or an overflow
-    prevents.
+    m is read by `_real_array`.  Raises PreconditionViolated unless m is a
+    nonempty square 2-D matrix of real numbers, SingularInput unless its
+    flipped diagonal passes `_check_diagonal`, and PreconditionViolated
+    unless its squared entries sum to a finite float, which a NaN, an
+    infinite entry or an overflow prevents.
     """
     m, squares = _real_array(m, 2)
     if m.shape[0] != m.shape[1]:
         raise PreconditionViolated(f"expected a nonempty square 2-D matrix, got shape {m.shape}")
     rows = m.tolist()
-    _check_diagonal([abs(row[i]) for i, row in enumerate(rows)])
+    for i, row in enumerate(rows):
+        if row[i] < 0:
+            row[i:] = [-v for v in row[i:]]
+    _check_diagonal([row[i] for i, row in enumerate(rows)])
     if not squares < math.inf:
         raise PreconditionViolated("matrix has a NaN or infinite entry, or squares that overflow")
-    return rows
+    return [list(col[:k + 1]) + [0.0] * (len(col) - k - 1) for k, col in enumerate(zip(*rows))]
 
 
 def _check_diagonal(diag: list[float]) -> None:
-    """The gate's diagonal rule on the magnitudes |r_ii| of a triangular
-    diagonal: raises SingularInput unless every |r_ii| >= 1e-14 max |r_ii|
-    (false on a NaN) and min |r_ii| squared (by ``*``: ``**`` raises on
-    overflow) is at least ``sys.float_info.min``, so that no square the
-    walk compares underflows."""
+    """The diagonal rule on a triangular diagonal with no negative entry:
+    raises SingularInput unless every r_ii >= 1e-14 max r_ii (false on a
+    NaN) and min r_ii squared (by ``*``: ``**`` raises on overflow) is at
+    least ``sys.float_info.min``, so that no square the walk compares
+    underflows."""
     bound = SINGULAR_RTOL * max(diag)
     low = min(diag)
     if not (low * low >= sys.float_info.min and all(map(bound.__le__, diag))):

@@ -76,15 +76,16 @@ def gram_matrix(h, p: float) -> np.ndarray:
     return (g + g.T) / 2
 
 
-def _checked_gram(g, n: int) -> np.ndarray:
-    """G, read by `matrixcore._real_array`; raises PreconditionViolated
-    unless it is an n x n real matrix whose squares sum to a finite float."""
+def _checked_gram(g, n: int) -> tuple[np.ndarray, float]:
+    """G and the sum of its squares, read by `matrixcore._real_array`;
+    raises PreconditionViolated unless G is an n x n real matrix whose
+    squares sum to a finite float."""
     g, squares = _real_array(g, 2)
     if g.shape != (n, n):
         raise PreconditionViolated(f"expected a square G as wide as a, got shape {g.shape}")
     if not squares < math.inf:
         raise PreconditionViolated("G has a NaN or infinite entry, or squares that overflow")
-    return g
+    return g, squares
 
 
 def _rate(quad: float) -> float:
@@ -102,14 +103,20 @@ def rate_m(a_m, g) -> float:
     PreconditionViolated unless a is a nonempty real 1-D vector whose
     squares sum to a finite float, ZeroVector for an all-zero a, and
     PreconditionViolated unless G is a square real matrix as wide as a
-    whose squares sum to a finite float, with a^T G a > 0.
+    whose squares sum to a finite float, unless
+    2 max(||a||, ||a||^2) ||G||_F is finite, and unless a^T G a > 0.  By
+    Cauchy-Schwarz every entry of a^T G is at most ||a|| ||G||_F and
+    a^T G a at most ||a||^2 ||G||_F, and the 2 covers rounding, so the
+    product cannot overflow.
     """
     a_m, squares = _real_array(a_m, 1)
     if not squares < math.inf:
         raise PreconditionViolated("a has a NaN or infinite entry, or squares that overflow")
     if not np.any(a_m):
         raise ZeroVector("coefficient vector must be nonzero")
-    g = _checked_gram(g, a_m.size)
+    g, g_squares = _checked_gram(g, a_m.size)
+    if not 2 * max(squares, math.sqrt(squares)) * math.sqrt(g_squares) < math.inf:
+        raise PreconditionViolated("a^T G a may overflow")
     return _rate(float(a_m @ g @ a_m))
 
 
@@ -122,5 +129,5 @@ def total_rate(a, g) -> float:
     if int_det(rows) == 0:
         raise SingularCoefficientMatrix("coefficient matrix must be invertible")
     floats = _float_array(rows)
-    g = _checked_gram(g, len(rows))
+    g, _ = _checked_gram(g, len(rows))
     return len(rows) * min(_rate(float(a_m @ g @ a_m)) for a_m in floats)

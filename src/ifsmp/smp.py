@@ -39,22 +39,17 @@ lists are faster there.  `gram_matrix` and the pipeline's factor stay
 numpy: both factor with LAPACK ``dpotrf``, whose bits a Python loop would
 not keep.
 
-The pipeline checks its input once: G passes `cholesky`'s checks
-(`matrixcore._factor`), and the diagonal of R, read from its columns
-once, passes `cholesky`'s positive-pivot check and then the diagonal rule
-of `matrixcore.checked_rows`, the gate of triangular inputs; the LLL and
-reduced-solver kernels after it trust their rows.  One tail, `_tail`,
-then runs `_lll` at DEFAULT_DELTA, the kernel and `_unreduce`.  Each
-public reduced solver enters the same tail from its own triangular input,
-which `lll._checked_columns` passes through the gate with the rows of
-negative diagonal entries flipped and its upper triangle alone, as
-`lll_reduce` does: the solver reduces its input first and returns c_star
-in the input's coordinates.
+Every input enters by one of the two ways in of `matrixcore`: G in
+`_pipeline`, a triangular input in each public reduced solver, as in
+`lll_reduce`; the LLL and reduced-solver kernels after them trust their
+rows.  One tail, `_tail`, then runs `_lll` at DEFAULT_DELTA, the kernel
+and `_unreduce`, so a public reduced solver reduces its input first and
+returns c_star in the input's coordinates.
 On `lll_reduce` output that second reduction takes no step, so the
 kernel's answer comes back bit for bit; on other input the kernel walks a
-reduced basis, whose radii start near the minima.  The gate alone decides
-whether an input's squares fit in floats, so no kernel widens or retries
-a radius.
+reduced basis, whose radii start near the minima.  The two ways in alone
+decide whether an input's squares fit in floats, so no kernel widens or
+retries a radius.
 
 All independence decisions are made on integer matrices with exact
 arithmetic (`int_rank` of the coefficient columns taken as rows); no
@@ -77,9 +72,9 @@ from .errors import (
     SearchBudgetExceeded,
     SingularCoefficientMatrix,
 )
-from .lll import DEFAULT_DELTA, _checked_columns, _lll
+from .lll import DEFAULT_DELTA, _lll
 from .matrixcore import (
-    _check_diagonal, _check_pivots, _factor, _int64, _real, _to_int_rows, _units, int_rank,
+    _check_diagonal, _int64, _real, _to_int_rows, _units, checked_columns, cholesky, int_rank,
 )
 from .receiver import _rate
 
@@ -139,9 +134,10 @@ class SmpSolution:
 def _exchange(cols: list, norms: list, adj: list, d: int, c, norm: float) -> int | None:
     """The `update_basis` rule on lists, for a sorted basis C with
     adj = d * C^-1 (row k of adj belongs to column k of C) and a candidate
-    c with norm below norms[-1].  On acceptance the lists are updated in
-    place by an exact rank-one step and the new scale d' = y_m is returned;
-    on rejection nothing changes and None is returned.
+    c.  On acceptance the lists are updated in place by an exact rank-one
+    step and the new scale d' = y_m is returned; on rejection nothing
+    changes and None is returned.  A norm >= norms[-1] or NaN is rejected:
+    its insertion point is n, past every column.
 
     A candidate equal to column m is a move: adj C = d I gives
     y = adj c = d e_m exactly, so the rule rejects it when m < i and
@@ -273,8 +269,8 @@ def _subspace_radii(norms: list[float], adj: list[list[int]]) -> list[float]:
 def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     """Successive minima of L(r_bar) in a single enumeration pass.
 
-    r_bar is any upper-triangular basis that passes `checked_rows`; it is
-    LLL-reduced first, as `solve_smp` reduces R (`_tail`).  The walk
+    r_bar is any upper-triangular basis that passes
+    `matrixcore.checked_columns`; it is LLL-reduced first, as `solve_smp` reduces R (`_tail`).  The walk
     starts from the sorted permuted identity of the reduced basis, visits
     sign-canonical vectors inside the shrinking radii, and repairs the
     basis with the `update_basis` rule at every nonzero leaf.  Returns the
@@ -295,7 +291,7 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     rank-deficient channels, where almost every leaf lies in the span of
     shorter columns, it removes most of the walk.
     """
-    return _tail(_checked_columns(r_bar), _rsmp)
+    return _tail(checked_columns(r_bar), _rsmp)
 
 
 def _rsmp(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
@@ -312,10 +308,7 @@ def _rsmp(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
 
     def on_leaf(c: list[int], norm_sq: float) -> list[float] | None:
         nonlocal d
-        norm = math.sqrt(norm_sq)
-        if not norm < norms[-1]:  # sqrt rounding at the radius
-            return None
-        new_d = _exchange(cols, norms, adj, d, c, norm)
+        new_d = _exchange(cols, norms, adj, d, c, math.sqrt(norm_sq))
         if new_d is None:
             return None
         d = new_d
@@ -343,22 +336,20 @@ def solve_smp(g) -> SmpSolution:
 
 
 def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:
-    """The solve pipeline: Cholesky, then `_tail`: LLL -> ``kernel(r_bar)``
-    (a reduced solver's kernel) -> a_star = z @ c_star, on lists between
-    ``dpotrf`` and the int64 a_star.  Returns (a_star, lambdas).
+    """The solve pipeline: `cholesky`, then `_tail`: LLL ->
+    ``kernel(r_bar)`` (a reduced solver's kernel) -> a_star = z @ c_star,
+    on lists between ``dpotrf`` and the int64 a_star.  Returns
+    (a_star, lambdas).
 
-    `cholesky` is `_factor` plus `_check_pivots`; here R is read once, as
-    columns, and its diagonal is read from them once for that check and
-    the gate's diagonal rule.  That rule is the one check after Cholesky:
-    a returned R is finite and square, its column j has the finite squared
-    norm G_jj, and r_bar passes the gate whenever R does (up to rounding
-    at the bound), because a Lovasz swap moves the two diagonal entries it
-    changes into the range between them."""
-    r, info = _factor(g)
-    cols = r.T.tolist()
-    diag = [col[i] for i, col in enumerate(cols)]
-    _check_pivots(diag, info)
-    _check_diagonal(diag)  # positive, so these are the |r_ii|
+    G's way into the tail (`matrixcore`): R is read once, as columns, and
+    its diagonal passes the diagonal rule, the one check after `cholesky`.
+    A returned R is finite, square, positive on the diagonal and has
+    squares that sum to G's finite trace, and r_bar passes
+    `checked_columns` whenever R does (up to rounding at the bound),
+    because a Lovasz swap moves the two diagonal entries it changes into
+    the range between them."""
+    cols = cholesky(g).T.tolist()
+    _check_diagonal([col[i] for i, col in enumerate(cols)])
     return _tail(cols, kernel)
 
 
@@ -415,7 +406,7 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     The in-ball vectors form a matroid, so the picks attain the successive
     minima.  Exponential cost; guarded by ORACLE_MAX_DIM.
     """
-    return _tail(_checked_columns(r_bar), _brute_force)
+    return _tail(checked_columns(r_bar), _brute_force)
 
 
 def _brute_force(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
@@ -450,9 +441,9 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     its k-th smallest identity-column norm squared times `_RADIUS_PAD` and
     shrinks on every improving independent one.  That ball holds k + 1
     identity columns, so one independent of the k fixed ones: it is never
-    empty on an input that passes the gate.
+    empty on an input that passes `matrixcore.checked_columns`.
     """
-    return _tail(_checked_columns(r_bar), _baseline)
+    return _tail(checked_columns(r_bar), _baseline)
 
 
 def _baseline(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:

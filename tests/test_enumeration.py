@@ -90,6 +90,17 @@ class TestEnumerateBelow:
             unsigned = box_oracle(r_bar, beta, canonical=False)
             assert 2 * count == len(unsigned)
 
+    def test_reads_the_gate_columns(self, rng):
+        # negative diagonal entries and a lower triangle change no visit:
+        # the walk takes the upper triangle of the row-flipped input
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            r = rng.standard_normal((n, n))
+            r[np.diag_indices(n)] = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+            flipped = np.triu(np.where(np.diag(r)[:, None] < 0, -r, r))
+            beta = rng.uniform(0.5, 2.5)
+            assert collect(r, beta) == collect(flipped, beta)
+
     def test_visitor_return_value_ignored(self):
         # the radius stays beta whatever the visitor returns: an infinite
         # one never ends the walk, and 1e308 ** 2 overflows

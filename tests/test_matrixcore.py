@@ -279,9 +279,9 @@ def _solved(solver):
 # error, a valid input of small integers, and the inputs whose typed error
 # differs from the site's own.  H, the rate side's a and G and every
 # triangular input go through matrixcore._real_array; cholesky keeps its
-# own rule for G (non-square first, then entry-wise finite, then pivots),
-# and a G of 1e200 entries that it can factor is valid, so its large case
-# is one whose last pivot overflows.
+# own rule for G (non-square first, then entry-wise finite, then a finite
+# trace, then pivots), and a G of 1e200 entries that it can factor is
+# valid, so its large case is one whose last pivot overflows.
 ARRAY_SITES = {
     "H/gram_matrix": (lambda x: gram_matrix(x, 10.0).tobytes(), PreconditionViolated,
                       [[2, 1], [0, 3]], {}),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from importlib.machinery import ExtensionFileLoader
 from pathlib import Path
 
@@ -190,6 +191,16 @@ class TestRates:
         for a in (np.eye(3, dtype=int), [[1, 0, 0], [0, 1]]):
             with pytest.raises(PreconditionViolated):
                 total_rate(a, 0.25 * np.eye(2))
+
+    def test_product_overflow_rejected(self):
+        # a and G pass their squares tests, but a^T G a would overflow
+        cases = [([1e100, 0], 1e150 * np.eye(2)),
+                 ([1e100, -1e100], 1e150 * np.array([[1.0, 0.9], [0.9, 1.0]]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, g in cases:
+                with pytest.raises(PreconditionViolated, match="overflow"):
+                    rate_m(a, g)
 
     def test_non_real_rejected(self):
         # checked before the cast to float, which would drop 1j silently

@@ -615,24 +615,42 @@ class TestSolveSmp:
             solve_smp(np.diag([1.0, 1e-30]))
 
     def test_one_gate_per_solve(self, rng, monkeypatch):
-        # the pipeline checks G in cholesky and R by the diagonal rule alone;
-        # no stage passes its rows through checked_rows again
+        # G's way in is cholesky plus the diagonal rule, so solve_smp never
+        # calls the triangular gate; each triangular entry point calls it once
         calls = [0]
-        gate = matrixcore.checked_rows
+        gate = matrixcore.checked_columns
 
         def counting(m):
             calls[0] += 1
             return gate(m)
 
-        for mod in (matrixcore, lll, enumeration):
-            monkeypatch.setattr(mod, "checked_rows", counting)
+        for mod in (matrixcore, lll, enumeration, smp):
+            monkeypatch.setattr(mod, "checked_columns", counting)
         for p_db in (0.0, 10.0, 20.0):
             for nt in (2, 4, 6):
                 solve_smp(gram_matrix(rng.standard_normal((nt, nt)), 10.0 ** (p_db / 10.0)))
                 solve_smp(gram_matrix(duplicated_column(rng, nt), 10.0 ** (p_db / 10.0)))
         assert calls[0] == 0
-        solve_rsmp(np.eye(2))  # the public solver keeps its gate
-        assert calls[0] == 1
+        r = np.array([[1.0, 0.3], [0.0, -1.2]])
+        for run in (lll_reduce, lambda x: enumeration.enumerate_below(x, 1.5, lambda c: None),
+                    solve_rsmp, baseline_smp, brute_force_smp):
+            calls[0] = 0
+            run(r)
+            assert calls[0] == 1
+
+    def test_trace_overflow_rejected_on_both_ways_in(self):
+        # G's trace is the sum of R's squares: a G that cholesky accepts
+        # gives an R that the triangular gate accepts, so solve_smp(g) and
+        # solve_rsmp(cholesky(g)) agree on the float range too
+        g = np.diag([1e308, 1e308])
+        for run in (cholesky, solve_smp, lambda x: solve_rsmp(cholesky(x))):
+            with pytest.raises(PreconditionViolated, match="trace"):
+                run(g)
+        g = np.diag([8e307, 8e307])
+        sol = solve_smp(g)
+        a_star, lambdas = solve_rsmp(cholesky(g))
+        assert a_star.tobytes() == sol.a_star.tobytes()
+        assert [v.hex() for v in lambdas] == [v.hex() for v in sol.lambdas]
 
     def test_objective_scaling_covariance(self, rng):
         g = random_gram(rng, 3, p=10.0)

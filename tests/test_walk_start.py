@@ -24,7 +24,7 @@ from ifsmp import (
     update_basis,
 )
 from ifsmp.enumeration import _search
-from ifsmp.matrixcore import _units, checked_rows
+from ifsmp.matrixcore import _units, checked_columns
 from ifsmp.smp import _identity_norms
 
 
@@ -126,13 +126,15 @@ def reduced_rows(draw):
 
 @st.composite
 def raw_rows(draw):
-    """An upper-triangular matrix, not reduced, n 1-5, through the gate."""
+    """An upper-triangular matrix, not reduced, n 1-5, that passes the gate;
+    its rows are walked unflipped, so the walk meets negative diagonals."""
     n = draw(st.integers(1, 5))
     entry = st.floats(-1.0, 1.0, allow_subnormal=False)
     diag = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
     r = [[draw(diag) if j == i else draw(entry) if j > i else 0.0 for j in range(n)]
          for i in range(n)]
-    return checked_rows(r)
+    checked_columns(r)
+    return r
 
 
 @st.composite

@@ -24,6 +24,8 @@ holds about 0.7 MB of resident memory); R has the bits of
 Integer matrices are handled with native Python ints internally, so every
 rank / determinant decision is exact: no tolerance, no overflow (Python
 ints are unbounded, which subsumes a 64->128 bit widening scheme).
+`_exact_form` writes a float matrix G as Python ints M over one power of
+two d, so that a^T G a = `_quad`(M, a) / d is exact for integer a.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def _float_array(x) -> np.ndarray:
 
 def _real_array(x, ndim: int) -> tuple[np.ndarray, float]:
     """The one reader of a real array (H, a triangular input, the rate side's
-    a and G): x read by `_float_array`, and the sum of its squared entries
+    G): x read by `_float_array`, and the sum of its squared entries
     as a Python float, which is not finite when an entry is NaN or infinite
     or the squares overflow.  Raises PreconditionViolated unless x is a
     nonempty ndim-D array; each caller applies its own bound to the sum."""
@@ -239,6 +241,20 @@ def _to_int_rows(m) -> list[list[int]]:
     if rows != entries:  # int() truncated an entry, or parsed a string
         raise PreconditionViolated("matrix has an entry that is not an integer")
     return rows
+
+
+def _exact_form(rows: list[list[float]]) -> tuple[list[list[int]], int]:
+    """Rows of finite Python floats as Python ints over one power of two:
+    (m, d) with m_ij / d == rows[i][j] exactly, where d is the largest
+    denominator `float.as_integer_ratio` gives an entry."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = max(den for row in ratios for _, den in row)
+    return [[num * (d // den) for num, den in row] for row in ratios], d
+
+
+def _quad(m: list[list[int]], a: list[int]) -> int:
+    """a^T m a in Python ints, exact."""
+    return sum(x * sum(map(mul, row, a)) for x, row in zip(a, m))
 
 
 def _int64(rows: list[list[int]]) -> np.ndarray:

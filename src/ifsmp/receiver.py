@@ -3,6 +3,10 @@
 Rates are in bits per channel use (base-2 logs).  The SMP solver returns a
 matrix whose COLUMNS are the successive-minima vectors; the rate functions
 here consume coefficient ROWS, so callers pass the solver output transposed.
+As in the paper, a coefficient vector is an integer vector: `rate_m` and
+`total_rate` read it as `int_det` does (`matrixcore._to_int_rows`), write G
+as Python ints over one power of two (`matrixcore._exact_form`), and form
+each a^T G a exactly, so a rate rounds once, in `_rate`'s one division.
 
 The Cholesky solve in `gram_matrix` is one call of LAPACK dposv as loaded
 by `matrixcore._load_flapack`, the library's one LAPACK loader.  DPOSV is
@@ -25,7 +29,7 @@ from .errors import (
     SingularCoefficientMatrix,
     ZeroVector,
 )
-from .matrixcore import _float_array, _real, _real_array, _to_int_rows, dposv, int_det
+from .matrixcore import _exact_form, _quad, _real, _real_array, _to_int_rows, dposv, int_det
 
 
 @lru_cache(maxsize=64)
@@ -53,8 +57,16 @@ def gram_matrix(h, p: float) -> np.ndarray:
     """G = I - H^T (H H^T + I/P)^{-1} H, symmetrized; X = (H H^T + I/P)^{-1} H
     comes from a Cholesky solve, and the inverse is never formed.
 
-    Positive definite with eigenvalues in (0, 1] for any finite H and
-    0 < P < inf.  Raises InvalidPower unless P is a real scalar, read by
+    The exact G is positive definite, with eigenvalues in (0, 1]; its
+    smallest is 1 / (1 + P sigma_max^2) for H's largest singular value
+    sigma_max.  The computed G is I minus a product of norm up to 1, so
+    once that eigenvalue falls to the rounding error of that product and
+    subtraction, the returned G can be indefinite, and `solve_smp` raises
+    NotPositiveDefinite on it: at 120 dB, 116 of 200 near-rank
+    4 x 4 channels (column 1 = column 0 + 1e-4 N(0, 1)) gave an indefinite
+    G.  ROADMAP item 9 factors from H without forming G.
+
+    Raises InvalidPower unless P is a real scalar, read by
     `matrixcore._real`, with 0 < P < inf and 1/P finite,
     PreconditionViolated unless H is a nonempty 2-D real matrix, read by
     `matrixcore._real_array`, whose sum of squares s gives a finite
@@ -76,58 +88,57 @@ def gram_matrix(h, p: float) -> np.ndarray:
     return (g + g.T) / 2
 
 
-def _checked_gram(g, n: int) -> tuple[np.ndarray, float]:
-    """G and the sum of its squares, read by `matrixcore._real_array`;
-    raises PreconditionViolated unless G is an n x n real matrix whose
-    squares sum to a finite float."""
+def _checked_gram(g, n: int) -> tuple[list[list[int]], int]:
+    """G's exact form (M, d) of `matrixcore._exact_form`, G read by
+    `matrixcore._real_array`; raises PreconditionViolated unless G is an
+    n x n real matrix whose squares sum to a finite float."""
     g, squares = _real_array(g, 2)
     if g.shape != (n, n):
         raise PreconditionViolated(f"expected a square G as wide as a, got shape {g.shape}")
     if not squares < math.inf:
         raise PreconditionViolated("G has a NaN or infinite entry, or squares that overflow")
-    return g, squares
+    return _exact_form(g.tolist())
 
 
-def _rate(quad: float) -> float:
-    """max(0, log2(1 / q) / 2) for q = a^T G a; raises PreconditionViolated
-    unless q > 0."""
-    if not quad > 0:
-        raise PreconditionViolated(f"a^T G a = {quad} is not positive")
-    return max(0.0, -0.5 * math.log2(quad))
+def _rate(num, den=1) -> float:
+    """max(0, log2(1 / q) / 2) for q = a^T G a = num / den: 0.0 when
+    num >= den, else -log2(num / den) / 2 with num / den rounded once.  For
+    ints that division is correctly rounded, cannot overflow (q < 1) and
+    cannot round to 0 (q >= 1 / den, and den is at most 2^1074, the
+    denominator of the smallest subnormal).  Raises PreconditionViolated
+    unless num > 0; the message holds no value of q, which as a float
+    may overflow."""
+    if not num > 0:
+        raise PreconditionViolated("a^T G a is not positive")
+    return 0.0 if num >= den else -0.5 * math.log2(num / den)
 
 
 def rate_m(a_m, g) -> float:
-    """Per-stream achievable rate max(0, log2(1 / a^T G a) / 2).
+    """Per-stream achievable rate max(0, log2(1 / a^T G a) / 2), for an
+    integer vector a, with a^T G a exact and divided once (`_rate`).
 
-    a and G are read by `matrixcore._real_array`.  Raises
-    PreconditionViolated unless a is a nonempty real 1-D vector whose
-    squares sum to a finite float, ZeroVector for an all-zero a, and
-    PreconditionViolated unless G is a square real matrix as wide as a
-    whose squares sum to a finite float, unless
-    2 max(||a||, ||a||^2) ||G||_F is finite, and unless a^T G a > 0.  By
-    Cauchy-Schwarz every entry of a^T G is at most ||a|| ||G||_F and
-    a^T G a at most ||a||^2 ||G||_F, and the 2 covers rounding, so the
-    product cannot overflow.
+    a is read as a one-row matrix by `matrixcore._to_int_rows`, as in
+    `int_det`, and G by `matrixcore._real_array`.  Raises
+    PreconditionViolated unless a is a nonempty 1-D vector of integers
+    (2.0 and ints beyond 64 bits are, 0.5, NaN and 1j are not), ZeroVector
+    for an all-zero a, and PreconditionViolated unless G is a square real
+    matrix as wide as a whose squares sum to a finite float, and unless
+    a^T G a > 0.
     """
-    a_m, squares = _real_array(a_m, 1)
-    if not squares < math.inf:
-        raise PreconditionViolated("a has a NaN or infinite entry, or squares that overflow")
-    if not np.any(a_m):
+    (a,) = _to_int_rows([a_m])
+    if not any(a):
         raise ZeroVector("coefficient vector must be nonzero")
-    g, g_squares = _checked_gram(g, a_m.size)
-    if not 2 * max(squares, math.sqrt(squares)) * math.sqrt(g_squares) < math.inf:
-        raise PreconditionViolated("a^T G a may overflow")
-    return _rate(float(a_m @ g @ a_m))
+    m, d = _checked_gram(g, len(a))
+    return _rate(_quad(m, a), d)
 
 
 def total_rate(a, g) -> float:
-    """Total rate N_t * min_m rate_m over the rows of an invertible a;
-    raises what `int_det` and `rate_m` raise on a and G.  G is read once,
-    by `matrixcore._real_array`, and each row's a^T G a is the product
-    `rate_m` forms."""
+    """Total rate N_t * min_m rate_m over the rows of an invertible integer
+    a; raises what `int_det` and `rate_m` raise on a and G.  G is read
+    once, and each row's rate is the one `rate_m` gives, from its exact
+    a^T G a; every row is checked, so any row with a^T G a <= 0 raises."""
     rows = _to_int_rows(a)
     if int_det(rows) == 0:
         raise SingularCoefficientMatrix("coefficient matrix must be invertible")
-    floats = _float_array(rows)
-    g, _ = _checked_gram(g, len(rows))
-    return len(rows) * min(_rate(float(a_m @ g @ a_m)) for a_m in floats)
+    m, d = _checked_gram(g, len(rows))
+    return len(rows) * min(_rate(_quad(m, row), d) for row in rows)

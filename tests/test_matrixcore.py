@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
 from ifsmp import (
@@ -29,6 +31,7 @@ from ifsmp import (
     total_rate,
     update_basis,
 )
+from ifsmp.matrixcore import _exact_form, _quad
 
 
 def rational_pivot_cols(m):
@@ -182,10 +185,18 @@ class TestIntDet:
         for a in ([[0.5, 0], [0, 2]], [[1, 0, 0], [0, 1]]):
             with pytest.raises(PreconditionViolated):
                 total_rate(a, 0.25 * np.eye(2))
+        for a in ([0.5, 1], [np.nan, 1], [np.inf, 1], [-np.inf, 1], [1j, 1], ["1", "0"],
+                  [1, [0, 1]], [[1, 0], [1]]):
+            with pytest.raises(PreconditionViolated):
+                rate_m(a, 0.25 * np.eye(2))
         # integral floats and Python ints beyond int64 stay exact
         assert int_det([[2.0, 0.0], [0.0, 2.0]]) == 4
         assert int_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
         assert int_det([[2**70, 1], [0, 1]]) == 2**70
+        # q = 4 / 64 and 2^140 / 2^150, each exact
+        assert rate_m([2.0, 0.0], 2.0**-6 * np.eye(2)) == 2.0
+        assert rate_m([np.int64(2), 0], 2.0**-6 * np.eye(2)) == 2.0
+        assert rate_m([2**70, 0], 2.0**-150 * np.eye(2)) == 5.0
 
     def test_random_vs_numpy(self, rng):
         for trial in range(360):
@@ -197,6 +208,33 @@ class TestIntDet:
                 m[:, 0] = 0
             assert int_det(m) == round(np.linalg.det(m))
             assert (int_rank(m) == n) == (int_det(m) != 0)
+
+
+# finite floats of every scale: +-0, subnormals, and 1e-300 beside 1e300
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 1e300, -1e300])
+
+
+@st.composite
+def float_rows_and_vector(draw):
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(FLOATS, min_size=n, max_size=n), min_size=n, max_size=n))
+    return rows, draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(float_rows_and_vector())
+@example(([[1e-300, 1e300], [-0.0, 5e-324]], [3, -2]))
+def test_exact_form_and_quad_are_exact(case):
+    # every entry is m_ij / d exactly, with d a power of two, and a^T M a / d
+    # is a^T G a in rationals
+    rows, a = case
+    m, d = _exact_form(rows)
+    assert d > 0 and d & (d - 1) == 0
+    assert all(Fraction(v, d) == Fraction(x)
+               for m_row, row in zip(m, rows) for v, x in zip(m_row, row))
+    exact = sum(a[i] * Fraction(x) * a[j] for i, row in enumerate(rows) for j, x in enumerate(row))
+    assert Fraction(_quad(m, a), d) == exact
 
 
 def _gram_bytes(p):
@@ -277,11 +315,14 @@ def _solved(solver):
 
 # Every site that reads a real array from outside: the call, its typed
 # error, a valid input of small integers, and the inputs whose typed error
-# differs from the site's own.  H, the rate side's a and G and every
-# triangular input go through matrixcore._real_array; cholesky keeps its
-# own rule for G (non-square first, then entry-wise finite, then a finite
-# trace, then pivots), and a G of 1e200 entries that it can factor is
-# valid, so its large case is one whose last pivot overflows.
+# differs from the site's own.  H, the rate side's G and every triangular
+# input go through matrixcore._real_array; cholesky keeps its own rule for
+# G (non-square first, then entry-wise finite, then a finite trace, then
+# pivots), and a G of 1e200 entries that it can factor is valid, so its
+# large case is one whose last pivot overflows.  rate_m reads its a as
+# integers, as int_det does: the kinds it marks None do not apply to it,
+# as a long double 1e400, 10**400 and 1e200 are valid integers and a third
+# is no integer (TestIntDet.test_non_integral_rejected).
 ARRAY_SITES = {
     "H/gram_matrix": (lambda x: gram_matrix(x, 10.0).tobytes(), PreconditionViolated,
                       [[2, 1], [0, 3]], {}),
@@ -297,8 +338,15 @@ ARRAY_SITES = {
     "R/solve_rsmp": (_solved(solve_rsmp), PreconditionViolated, [[2, 1], [0, 3]], {}),
     "R/baseline_smp": (_solved(baseline_smp), PreconditionViolated, [[2, 1], [0, 3]], {}),
     "R/brute_force_smp": (_solved(brute_force_smp), PreconditionViolated, [[2, 1], [0, 3]], {}),
-    "a/rate_m": (lambda x: rate_m(x, 0.25 * np.eye(2)).hex(), PreconditionViolated, [1, 2], {}),
+    "a/rate_m": (lambda x: rate_m(x, 0.25 * np.eye(2)).hex(), PreconditionViolated, [1, 2],
+                 dict.fromkeys(("longdouble", "huge-int", "1e200", "float32"))),
 }
+
+
+def _site_kinds(kinds):
+    """(site, kind) pairs of ARRAY_SITES, less the kinds a site marks None."""
+    return [(site, kind) for site, (*_, special) in ARRAY_SITES.items() for kind in kinds
+            if kind not in special or special[kind] is not None]
 
 
 def _with(base, value, dtype=None):
@@ -336,8 +384,7 @@ def _real_arrays(base):
             "bool": base.astype(bool), "longdouble": base.astype(np.longdouble) / 3}
 
 
-@pytest.mark.parametrize("site, kind", [(site, kind) for site in ARRAY_SITES
-                                        for kind in _not_real_array(np.eye(2))])
+@pytest.mark.parametrize("site, kind", _site_kinds(_not_real_array(np.eye(2))))
 def test_not_real_array_rejected(site, kind):
     run, error, base, special = ARRAY_SITES[site]
     x = _not_real_array(base)[kind]
@@ -350,8 +397,7 @@ def test_not_real_array_rejected(site, kind):
             run(x)
 
 
-@pytest.mark.parametrize("site, kind", [(site, kind) for site in ARRAY_SITES
-                                        for kind in _real_arrays(np.eye(2))])
+@pytest.mark.parametrize("site, kind", _site_kinds(_real_arrays(np.eye(2))))
 def test_real_array_read_as_float64(site, kind):
     run, _, base, _ = ARRAY_SITES[site]
     x = _real_arrays(base)[kind]

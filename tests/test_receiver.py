@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from importlib.machinery import ExtensionFileLoader
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from ifsmp import (
     total_rate,
 )
 from ifsmp import matrixcore
+from ifsmp.receiver import _rate
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -158,6 +160,19 @@ for h, g in zip(hs, gs):
             assert np.max(np.linalg.eigvalsh(g)) <= 1.0 + 1e-12
 
 
+def _perfbench_channels(configs, rank_deficient, seed, count):
+    """The first count (H, P) channels of a perfbench workload: per config k,
+    draws from default_rng([seed, k]), interleaved round-robin, with column
+    0 of H copied into column 1 when rank_deficient."""
+    blocks = []
+    for k, (nt, p_db) in enumerate(configs):
+        hs = np.random.default_rng([seed, k]).standard_normal((-(-count // len(configs)), nt, nt))
+        if rank_deficient:
+            hs[:, :, 1] = hs[:, :, 0]
+        blocks.append([(h, 10.0 ** (p_db / 10.0)) for h in hs])
+    return [channel for group in zip(*blocks) for channel in group][:count]
+
+
 class TestRates:
     def test_unit_quadratic_form_clamps(self):
         assert rate_m(np.array([1, 0]), np.eye(2)) == 0.0
@@ -192,15 +207,20 @@ class TestRates:
             with pytest.raises(PreconditionViolated):
                 total_rate(a, 0.25 * np.eye(2))
 
-    def test_product_overflow_rejected(self):
-        # a and G pass their squares tests, but a^T G a would overflow
+    def test_large_product_is_exact(self):
+        # a^T G a beyond the float range is an exact int, so q >= 1 gives
+        # 0.0 with no overflow and no warning
         cases = [([1e100, 0], 1e150 * np.eye(2)),
                  ([1e100, -1e100], 1e150 * np.array([[1.0, 0.9], [0.9, 1.0]]))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for a, g in cases:
-                with pytest.raises(PreconditionViolated, match="overflow"):
-                    rate_m(a, g)
+                assert rate_m(a, g) == 0.0
+
+    def test_cancelling_rows_are_exact(self):
+        # in floats each row's a^T G a cancels to 0.0; exactly it is 2^-10
+        a = [[2**53 + 1, 2**53], [0, 1]]
+        assert total_rate(a, 2.0**-10 * np.array([[1, -1], [-1, 1]])) == 10.0
 
     def test_non_real_rejected(self):
         # checked before the cast to float, which would drop 1j silently
@@ -240,6 +260,22 @@ class TestRates:
             expected = len(a) * min(rate_m(row, g) for row in a)
             assert total_rate(a, g).hex() == expected.hex()
             assert total_rate(a.tolist(), g.tolist()).hex() == expected.hex()
+
+    def test_total_rate_is_exact_on_perfbench_channels(self):
+        # the first 500 channels of perfbench's workloads, drawn as it draws
+        # them: total_rate is N_t * _rate of the largest exact q over the
+        # rows, rounded once
+        workloads = (([(nt, p_db) for nt in (2, 4) for p_db in (0.0, 10.0, 20.0)], False),
+                     ([(4, 12.0)], True))
+        for configs, rank_deficient in workloads:
+            for seed in (1, 7919):
+                for h, p in _perfbench_channels(configs, rank_deficient, seed, 500):
+                    g = gram_matrix(h, p)
+                    a = solve_smp(g).a_star.T.tolist()
+                    exact = [[Fraction(x) for x in row] for row in g.tolist()]
+                    q = max(sum(u * x * v for u, row in zip(a_m, exact) for x, v in zip(row, a_m))
+                            for a_m in a)
+                    assert total_rate(a, g).hex() == (len(a) * _rate(float(q))).hex()
 
     def test_total_rate(self):
         assert total_rate(np.eye(2, dtype=int), 0.25 * np.eye(2)) == pytest.approx(2.0)

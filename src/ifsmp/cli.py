@@ -29,15 +29,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if ":" in text:
         start, step, stop = (float(tok) for tok in text.split(":"))
         if not all(map(math.isfinite, (start, step, stop))):
-            raise ValueError("grid start, step and stop must be finite")
+            raise ConfigError("grid start, step and stop must be finite")
         if step <= 0:
-            raise ValueError("grid step must be positive")
+            raise ConfigError("grid step must be positive")
         if start + step == start:
-            raise ValueError(f"grid step {step} does not advance from {start}")
+            raise ConfigError(f"grid step {step} does not advance from {start}")
         # points past start; the stop gets the 1e-9 slack of the rounding
         span = (stop + 1e-9 - start) / step
         if span >= MAX_GRID_POINTS:
-            raise ValueError(f"grid {text} has more than {MAX_GRID_POINTS} points")
+            raise ConfigError(f"grid {text} has more than {MAX_GRID_POINTS} points")
         count = math.floor(span) + 1 if span >= 0 else 0
         return tuple(round(start + k * step, 9) for k in range(count))
     return tuple(float(tok) for tok in text.split(","))

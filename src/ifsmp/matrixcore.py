@@ -3,15 +3,17 @@
 Real matrices enter as ``numpy.ndarray`` (float64).  There are exactly
 two ways into the solve tail (`smp._tail`), and both are here:
 
-- G goes through `cholesky`; `smp._pipeline` reads R's columns once and
-  applies `_check_diagonal` to their diagonal.
+- G goes through `cholesky`, which returns only an R that
+  `checked_columns` accepts; `smp._pipeline` reads R's columns once.
 - A triangular input (`lll_reduce`, `enumerate_below` and the three
   public reduced solvers) goes through `checked_columns`, which returns
   the columns of its upper triangle with negative-diagonal rows flipped.
 
-No stage after them checks its input again.  `_units(n)`, the n unit
-columns as tuples of ints, is built once per n and shared by every solve
-that starts from an identity.
+Every real array (H, G, a triangular input) is read by `_real_array`,
+whose one finite rule rejects a NaN or infinite entry and squares that
+overflow.  No stage after the two ways in checks its input again.
+`_units(n)`, the n unit columns as tuples of ints, is built once per n
+and shared by every solve that starts from an identity.
 
 `cholesky` and `receiver.gram_matrix` call LAPACK from scipy's compiled
 ``scipy/linalg/_flapack``, which `_load_flapack` loads once by file.  It
@@ -64,11 +66,11 @@ def _load_flapack():
     DLLs the extension links against to the search path."""
     package = find_spec("scipy")
     if package is None:
-        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")  # untyped: no scipy
     linalg_dir = os.path.join(os.path.dirname(package.origin), "linalg")
     spec = PathFinder.find_spec("_flapack", [linalg_dir])
     if spec is None:
-        raise ImportError("scipy has no LAPACK extension "
+        raise ImportError("scipy has no LAPACK extension "  # untyped: a broken scipy
                           f"{os.path.join(linalg_dir, '_flapack')}.*")
     try:
         return _exec(spec)
@@ -94,8 +96,9 @@ def _float_array(x) -> np.ndarray:
     """x as a float64 ndarray; raises PreconditionViolated unless numpy reads
     it as an array of real numbers (bool, integer or float dtype), so that a
     complex, string or ragged input is not cast silently or failed untyped.
-    A long double beyond the float64 range reads as +-inf, which each
-    site's own finite test rejects."""
+    A long double beyond the float64 range reads as +-inf, which the
+    finite rule of `_real_array` and the range test of each scalar site
+    reject."""
     try:
         a = np.asarray(x)
     except ValueError:  # a ragged nested sequence
@@ -109,16 +112,19 @@ def _float_array(x) -> np.ndarray:
 
 
 def _real_array(x, ndim: int) -> tuple[np.ndarray, float]:
-    """The one reader of a real array (H, a triangular input, the rate side's
-    G): x read by `_float_array`, and the sum of its squared entries
-    as a Python float, which is not finite when an entry is NaN or infinite
-    or the squares overflow.  Raises PreconditionViolated unless x is a
-    nonempty ndim-D array; each caller applies its own bound to the sum."""
+    """The one reader of a real array (H, G, a triangular input) and its one
+    finite rule: x read by `_float_array`, and the sum of its squared
+    entries as a Python float.  Raises PreconditionViolated unless x is a
+    nonempty ndim-D array whose squares sum to a finite float, which a NaN,
+    an infinite entry or an overflow prevents."""
     a = _float_array(x)
     if a.ndim != ndim or not a.size:
         raise PreconditionViolated(f"expected a nonempty {ndim}-D array, got shape {a.shape}")
     flat = a.ravel().tolist()
-    return a, sum(map(mul, flat, flat))
+    squares = sum(map(mul, flat, flat))
+    if not squares < math.inf:
+        raise PreconditionViolated("array has a NaN or infinite entry, or squares that overflow")
+    return a, squares
 
 
 def _real(x) -> float:
@@ -143,27 +149,22 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     matrix, with R^T R = g and positive diagonal: LAPACK ``dpotrf`` on the
     upper triangle, with the lower one zeroed.
 
-    Raises PreconditionViolated (not real, empty, a NaN / infinite entry,
-    or a trace that overflows), NotSymmetric or NotPositiveDefinite; each
-    test fails on a NaN.  The trace is the sum of R's squared entries, so
-    a returned R passes the squares rule of `checked_columns` (up to
-    rounding at the bound).  ``dpotrf`` reports success on some finite g
-    whose pivots overflow to NaN, so a diagonal entry that is not positive
-    fails too.  A returned R is then finite: every entry above the
-    diagonal enters the pivot of its column, which a NaN or infinite one
-    would make NaN or -inf.
+    g is read by `_real_array`.  Raises PreconditionViolated (not a
+    nonempty 2-D real array, or squares that are not finite),
+    NotSymmetric (not square, or asymmetric), NotPositiveDefinite or
+    SingularInput.  ``dpotrf`` reports success on some finite g whose
+    pivots overflow to NaN, so a diagonal entry that is not positive
+    fails too; the diagonal then passes `_check_diagonal`.  A returned R
+    is finite, as every entry above the diagonal enters the pivot of its
+    column, which a NaN or infinite one would make NaN or -inf, and its
+    squares sum to g's trace up to rounding, so `checked_columns` accepts
+    it and returns its columns as they are.
     """
-    g = _float_array(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    g, _ = _real_array(g, 2)
+    if g.shape[0] != g.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {g.shape}")
-    if not g.size:
-        raise PreconditionViolated("matrix is empty")
     rows = g.tolist()  # Python floats: same decisions, cheaper than numpy here
     flat = sum(rows, [])
-    if not all(map(math.isfinite, flat)):
-        raise PreconditionViolated("matrix has a NaN or infinite entry")
-    if not sum(flat[::len(rows) + 1]) < math.inf:
-        raise PreconditionViolated("matrix has a trace that overflows")
     transposed = sum(zip(*rows), ())
     if tuple(flat) != transposed:  # gram_matrix's G is exactly symmetric
         asym = max(map(abs, map(sub, flat, transposed)))
@@ -171,11 +172,12 @@ def cholesky(g: np.ndarray) -> np.ndarray:
             raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
     r, info = dpotrf(g, lower=0, clean=1)
     if info < 0:
-        raise ValueError(f"LAPACK rejected argument {-info}")
+        raise ValueError(f"LAPACK rejected argument {-info}")  # untyped: a library fault
     diag = r.diagonal().tolist()
     if info or not all(map((0.0).__lt__, diag)):
         j = info - 1 if info else next(i for i, d in enumerate(diag) if not d > 0.0)
         raise NotPositiveDefinite(f"pivot {diag[j]} at index {j}")
+    _check_diagonal(diag)
     return r
 
 
@@ -183,15 +185,14 @@ def checked_columns(m) -> list[list[float]]:
     """The one gate of a triangular input: the columns of m's upper
     triangle as lists of Python floats, with every row whose diagonal entry
     is negative flipped (sign flips live in Q).  Entries below the diagonal
-    count only in the squares rule; the columns hold 0.0 there.
+    count only in the finite rule; the columns hold 0.0 there.
 
-    m is read by `_real_array`.  Raises PreconditionViolated unless m is a
-    nonempty square 2-D matrix of real numbers, SingularInput unless its
-    flipped diagonal passes `_check_diagonal`, and PreconditionViolated
-    unless its squared entries sum to a finite float, which a NaN, an
-    infinite entry or an overflow prevents.
+    m is read by `_real_array`, which raises PreconditionViolated unless m
+    is a nonempty 2-D real array whose squares sum to a finite float.
+    Raises PreconditionViolated unless m is square too, and SingularInput
+    unless its flipped diagonal passes `_check_diagonal`.
     """
-    m, squares = _real_array(m, 2)
+    m, _ = _real_array(m, 2)
     if m.shape[0] != m.shape[1]:
         raise PreconditionViolated(f"expected a nonempty square 2-D matrix, got shape {m.shape}")
     rows = m.tolist()
@@ -199,8 +200,6 @@ def checked_columns(m) -> list[list[float]]:
         if row[i] < 0:
             row[i:] = [-v for v in row[i:]]
     _check_diagonal([row[i] for i, row in enumerate(rows)])
-    if not squares < math.inf:
-        raise PreconditionViolated("matrix has a NaN or infinite entry, or squares that overflow")
     return [list(col[:k + 1]) + [0.0] * (len(col) - k - 1) for k, col in enumerate(zip(*rows))]
 
 
@@ -223,23 +222,24 @@ def _units(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(r == k) for r in range(n)) for k in range(n))
 
 
-def _to_int_rows(m) -> list[list[int]]:
-    """m as rows of Python ints; raises PreconditionViolated unless m is a
-    nonempty 2-D matrix of integral entries (2.0 is one, 0.5, NaN and 1j
-    are not; ragged rows are no matrix)."""
+def _to_int_rows(m, ndim: int = 2) -> list[list[int]]:
+    """m as rows of Python ints, a vector as one row; raises
+    PreconditionViolated unless m is a nonempty ndim-D array (1 or 2) of
+    integral entries (2.0 is one, 0.5, NaN and 1j are not; ragged rows
+    are no array), naming m's own shape."""
     try:
         a = np.asarray(m)
     except ValueError:  # a ragged nested sequence
-        raise PreconditionViolated("expected a matrix of integers") from None
-    if a.ndim != 2 or not a.size:
-        raise PreconditionViolated(f"expected a nonempty 2-D matrix, got shape {a.shape}")
-    entries = a.tolist()
+        raise PreconditionViolated("expected an array of integers") from None
+    if a.ndim != ndim or not a.size:
+        raise PreconditionViolated(f"expected a nonempty {ndim}-D array, got shape {a.shape}")
+    entries = a.reshape(-1, a.shape[-1]).tolist()
     try:
         rows = [[int(v) for v in row] for row in entries]
     except (TypeError, ValueError, OverflowError):
-        raise PreconditionViolated("expected a matrix of integers") from None
+        raise PreconditionViolated("expected an array of integers") from None
     if rows != entries:  # int() truncated an entry, or parsed a string
-        raise PreconditionViolated("matrix has an entry that is not an integer")
+        raise PreconditionViolated("array has an entry that is not an integer")
     return rows
 
 

@@ -69,7 +69,7 @@ def gram_matrix(h, p: float) -> np.ndarray:
     Raises InvalidPower unless P is a real scalar, read by
     `matrixcore._real`, with 0 < P < inf and 1/P finite,
     PreconditionViolated unless H is a nonempty 2-D real matrix, read by
-    `matrixcore._real_array`, whose sum of squares s gives a finite
+    `matrixcore._real_array`, whose finite sum of squares s gives a finite
     2 (s + 1/P), and NotPositiveDefinite when H H^T + I/P is numerically
     singular.
     """
@@ -77,26 +77,24 @@ def gram_matrix(h, p: float) -> np.ndarray:
     h, squares = _real_array(h, 2)
     # |(H H^T + I/P)_ij| <= s + 1/P, and the 2 covers rounding: m is finite
     if not 2 * (squares + 1 / p) < math.inf:
-        raise PreconditionViolated("H has a NaN or infinite entry, or H H^T + I/P may overflow")
+        raise PreconditionViolated("H H^T + I/P may overflow")
     m = h @ h.T + _identity(h.shape[0]) / p
     _, x, info = dposv(m, h, lower=0)
     if info > 0:
         raise NotPositiveDefinite("H H^T + I/P is numerically singular")
     if info:
-        raise ValueError(f"LAPACK rejected argument {-info}")
+        raise ValueError(f"LAPACK rejected argument {-info}")  # untyped: a library fault
     g = _identity(h.shape[1]) - h.T @ x
     return (g + g.T) / 2
 
 
 def _checked_gram(g, n: int) -> tuple[list[list[int]], int]:
     """G's exact form (M, d) of `matrixcore._exact_form`, G read by
-    `matrixcore._real_array`; raises PreconditionViolated unless G is an
-    n x n real matrix whose squares sum to a finite float."""
-    g, squares = _real_array(g, 2)
+    `matrixcore._real_array`, whose finite rule it passes; raises
+    PreconditionViolated unless G is n x n too."""
+    g, _ = _real_array(g, 2)
     if g.shape != (n, n):
         raise PreconditionViolated(f"expected a square G as wide as a, got shape {g.shape}")
-    if not squares < math.inf:
-        raise PreconditionViolated("G has a NaN or infinite entry, or squares that overflow")
     return _exact_form(g.tolist())
 
 
@@ -117,15 +115,14 @@ def rate_m(a_m, g) -> float:
     """Per-stream achievable rate max(0, log2(1 / a^T G a) / 2), for an
     integer vector a, with a^T G a exact and divided once (`_rate`).
 
-    a is read as a one-row matrix by `matrixcore._to_int_rows`, as in
-    `int_det`, and G by `matrixcore._real_array`.  Raises
-    PreconditionViolated unless a is a nonempty 1-D vector of integers
-    (2.0 and ints beyond 64 bits are, 0.5, NaN and 1j are not), ZeroVector
-    for an all-zero a, and PreconditionViolated unless G is a square real
-    matrix as wide as a whose squares sum to a finite float, and unless
-    a^T G a > 0.
+    a is read as one row by `matrixcore._to_int_rows`, as in `int_det`,
+    and G by `matrixcore._real_array`.  Raises PreconditionViolated unless
+    a is a nonempty 1-D vector of integers (2.0 and ints beyond 64 bits
+    are, 0.5, NaN and 1j are not), ZeroVector for an all-zero a, and
+    PreconditionViolated unless G is a square real matrix as wide as a
+    whose squares sum to a finite float, and unless a^T G a > 0.
     """
-    (a,) = _to_int_rows([a_m])
+    (a,) = _to_int_rows(a_m, 1)
     if not any(a):
         raise ZeroVector("coefficient vector must be nonzero")
     m, d = _checked_gram(g, len(a))

@@ -39,16 +39,18 @@ lists are faster there.  `gram_matrix` and the pipeline's factor stay
 numpy: both factor with LAPACK ``dpotrf``, whose bits a Python loop would
 not keep.
 
-Every input enters by one of the two ways in of `matrixcore`: G in
-`_pipeline`, a triangular input in each public reduced solver, as in
-`lll_reduce`; the LLL and reduced-solver kernels after them trust their
-rows.  One tail, `_tail`, then runs `_lll` at DEFAULT_DELTA, the kernel
-and `_unreduce`, so a public reduced solver reduces its input first and
-returns c_star in the input's coordinates.
+Every input enters by one of the two ways in of `matrixcore`: G by
+`cholesky` in `_pipeline`, a triangular input by `checked_columns` in each
+public reduced solver, as in `lll_reduce`; both read it by
+`matrixcore._real_array`'s one finite rule, `cholesky` returns only an R
+that `checked_columns` accepts, and the LLL and reduced-solver kernels
+after them trust their rows.  One tail, `_tail`, then runs `_lll` at
+DEFAULT_DELTA, the kernel and `_unreduce`, so a public reduced solver
+reduces its input first and returns c_star in the input's coordinates.
 On `lll_reduce` output that second reduction takes no step, so the
 kernel's answer comes back bit for bit; on other input the kernel walks a
-reduced basis, whose radii start near the minima.  The two ways in alone
-decide whether an input's squares fit in floats, so no kernel widens or
+reduced basis, whose radii start near the minima.  The finite rule alone
+decides whether an input's squares fit in floats, so no kernel widens or
 retries a radius.
 
 All independence decisions are made on integer matrices with exact
@@ -74,7 +76,7 @@ from .errors import (
 )
 from .lll import DEFAULT_DELTA, _lll
 from .matrixcore import (
-    _check_diagonal, _int64, _real, _to_int_rows, _units, checked_columns, cholesky, int_rank,
+    _int64, _real, _to_int_rows, _units, checked_columns, cholesky, int_rank,
 )
 from .receiver import _rate
 
@@ -341,16 +343,13 @@ def _pipeline(g, kernel) -> tuple[np.ndarray, list[float]]:
     on lists between ``dpotrf`` and the int64 a_star.  Returns
     (a_star, lambdas).
 
-    G's way into the tail (`matrixcore`): R is read once, as columns, and
-    its diagonal passes the diagonal rule, the one check after `cholesky`.
-    A returned R is finite, square, positive on the diagonal and has
-    squares that sum to G's finite trace, and r_bar passes
-    `checked_columns` whenever R does (up to rounding at the bound),
-    because a Lovasz swap moves the two diagonal entries it changes into
-    the range between them."""
-    cols = cholesky(g).T.tolist()
-    _check_diagonal([col[i] for i, col in enumerate(cols)])
-    return _tail(cols, kernel)
+    G's way into the tail (`matrixcore`): R is read once, as columns, with
+    no check after `cholesky`, which returns only an R that
+    `checked_columns` accepts as it is.  r_bar passes `checked_columns`
+    whenever R does (up to rounding at the bound), because a Lovasz swap
+    moves the two diagonal entries it changes into the range between
+    them."""
+    return _tail(cholesky(g).T.tolist(), kernel)
 
 
 def _tail(cols: list[list[float]], kernel) -> tuple[np.ndarray, list[float]]:

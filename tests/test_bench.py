@@ -244,6 +244,10 @@ class TestCli:
         assert len(_parse_grid("0:1:9999")) == MAX_GRID_POINTS
         assert _parse_grid("5:1:2") == ()
         assert _parse_grid("1,5,9") == (1.0, 5.0, 9.0)
+        # a grid that is no grid raises the typed error main reports
+        for text in ("0:nan:2", "0:0:2", "1:1e-20:2", "0:1e-6:1"):
+            with pytest.raises(ConfigError):
+                _parse_grid(text)
 
 
 @pytest.mark.parametrize("workload", ["rankdef", "small"])

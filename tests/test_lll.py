@@ -148,7 +148,8 @@ def test_singular_rejected():
                     baseline_smp, brute_force_smp]
     cases = [
         (np.array([[1.0, 1.0], [0.0, 1e-16]]), SingularInput),
-        (np.array([[1.0, 1.0], [0.0, np.nan]]), SingularInput),
+        # a NaN on the diagonal fails the finite rule before the diagonal rule
+        (np.array([[1.0, 1.0], [0.0, np.nan]]), PreconditionViolated),
         (np.ones((2, 3)), PreconditionViolated),
         (np.zeros((0, 0)), PreconditionViolated),
         # a NaN or infinite entry off the diagonal, as an ndarray or a list

@@ -65,19 +65,23 @@ class TestCholesky:
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        # finite, but the last pivot overflows: dpotrf reports success with
-        # a NaN on the diagonal
+        # squares finite, but the last pivot overflows: dpotrf reports
+        # success with a NaN on the diagonal
         with pytest.raises(NotPositiveDefinite, match="pivot nan at index 2"):
-            cholesky(np.array([[1e-300, 0.0, 1e200], [0.0, 1.0, 0.5], [1e200, 0.5, 1.0]]))
-        # empty, not real, or a NaN / infinite entry anywhere (cholesky
-        # reads only the upper triangle, and NaN compares false)
-        bad = [np.zeros((0, 0)), 1j * np.eye(2), [["x"]], [[1.0, 0.0], [0.0]]]
+            cholesky(np.array([[5e-324, 0.0, 9e153], [0.0, 1.0, 0.5], [9e153, 0.5, 1.0]]))
+        # empty, 0-d, 1-D or 3-D, not real, a NaN / infinite entry anywhere
+        # (cholesky reads only the upper triangle, and NaN compares false),
+        # or squares that overflow while the trace is finite: the finite
+        # rule of _real_array rejects them all
+        bad = [np.zeros((0, 0)), np.array(1.0), np.ones(3), np.ones((2, 2, 2)), 1j * np.eye(2),
+               [["x"]], [[1.0, 0.0], [0.0]], 1e200 * np.eye(2), np.diag([8e307, 8e307]),
+               [[1e-300, 0.0, 1e200], [0.0, 1.0, 0.5], [1e200, 0.5, 1.0]]]
         for pos, value in [((1, 0), np.nan), ((2, 2), np.nan), ((0, 1), np.nan),
                            ((0, 2), np.nan), ((1, 0), np.inf), ((1, 0), -np.inf)]:
             g = np.eye(3) + 0.1
             g[pos] = value
             bad.append(g)
-            # the finite test comes before the symmetry test
+            # the finite rule comes before the symmetry test
             asymmetric = g.copy()
             asymmetric[2, 0] = 5.0
             bad.append(asymmetric)
@@ -86,11 +90,15 @@ class TestCholesky:
                 cholesky(g)
 
     def test_asymmetric_rejected(self):
-        # non-square comes first, before the empty and finite tests; a pair
-        # whose difference overflows is asymmetric, not a float error
-        for g in ([[1.0, 0.5], [0.4, 1.0]], [[1.0, 1e308], [-1e308, 1.0]], np.ones(3),
-                  np.ones((2, 3)), np.zeros((0, 2)), [[np.nan, 0.0, 1.0]]):
+        # a finite 2-D array that is not square or not symmetric; the finite
+        # rule comes first, so a 1-D, empty or NaN G and a pair whose
+        # squares overflow are no real array
+        for g in ([[1.0, 0.5], [0.4, 1.0]], np.ones((2, 3)), [[1.0, 1e150], [-1e150, 1.0]]):
             with pytest.raises(NotSymmetric):
+                cholesky(g)
+        for g in ([[1.0, 1e308], [-1e308, 1.0]], np.ones(3), np.zeros((0, 2)),
+                  [[np.nan, 0.0, 1.0]]):
+            with pytest.raises(PreconditionViolated):
                 cholesky(g)
         # asymmetry within 1e-12 of the largest entry is accepted
         r = cholesky(np.array([[4.0, 2.0], [2.0 + 2e-12, 3.0]]))
@@ -314,22 +322,17 @@ def _solved(solver):
 
 
 # Every site that reads a real array from outside: the call, its typed
-# error, a valid input of small integers, and the inputs whose typed error
-# differs from the site's own.  H, the rate side's G and every triangular
-# input go through matrixcore._real_array; cholesky keeps its own rule for
-# G (non-square first, then entry-wise finite, then a finite trace, then
-# pivots), and a G of 1e200 entries that it can factor is valid, so its
-# large case is one whose last pivot overflows.  rate_m reads its a as
+# error, a valid input of small integers, and the kinds that do not apply
+# to it.  H, G (cholesky's and the rate side's) and every triangular input
+# go through matrixcore._real_array and its one finite rule, so every site
+# rejects every kind with PreconditionViolated.  rate_m reads its a as
 # integers, as int_det does: the kinds it marks None do not apply to it,
 # as a long double 1e400, 10**400 and 1e200 are valid integers and a third
 # is no integer (TestIntDet.test_non_integral_rejected).
 ARRAY_SITES = {
     "H/gram_matrix": (lambda x: gram_matrix(x, 10.0).tobytes(), PreconditionViolated,
                       [[2, 1], [0, 3]], {}),
-    "G/cholesky": (lambda x: cholesky(x).tobytes(), PreconditionViolated, [[2, 0], [0, 3]],
-                   {"0-d": NotSymmetric, "wrong-ndim": NotSymmetric,
-                    "1e200": ([[1e-300, 0.0, 1e200], [0.0, 1.0, 0.5], [1e200, 0.5, 1.0]],
-                              NotPositiveDefinite)}),
+    "G/cholesky": (lambda x: cholesky(x).tobytes(), PreconditionViolated, [[2, 0], [0, 3]], {}),
     "G/rate_m": (lambda x: rate_m([1, 0], x).hex(), PreconditionViolated, [[2, 1], [1, 2]], {}),
     "G/total_rate": (lambda x: total_rate([[1, 0], [0, 1]], x).hex(), PreconditionViolated,
                      [[2, 1], [1, 2]], {}),
@@ -345,8 +348,8 @@ ARRAY_SITES = {
 
 def _site_kinds(kinds):
     """(site, kind) pairs of ARRAY_SITES, less the kinds a site marks None."""
-    return [(site, kind) for site, (*_, special) in ARRAY_SITES.items() for kind in kinds
-            if kind not in special or special[kind] is not None]
+    return [(site, kind) for site, (*_, skipped) in ARRAY_SITES.items() for kind in kinds
+            if kind not in skipped]
 
 
 def _with(base, value, dtype=None):
@@ -386,11 +389,8 @@ def _real_arrays(base):
 
 @pytest.mark.parametrize("site, kind", _site_kinds(_not_real_array(np.eye(2))))
 def test_not_real_array_rejected(site, kind):
-    run, error, base, special = ARRAY_SITES[site]
+    run, error, base, _ = ARRAY_SITES[site]
     x = _not_real_array(base)[kind]
-    error = special.get(kind, error)
-    if isinstance(error, tuple):
-        x, error = error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error):

@@ -198,9 +198,10 @@ class TestRates:
                 rate_m([1, 0], g)
             with pytest.raises(PreconditionViolated):
                 total_rate(np.eye(2, dtype=int), g)
-        # a must be 1-D and as wide as G
-        for a in ([1, 0, 0], [[1, 0]], 1):
-            with pytest.raises(PreconditionViolated):
+        # a must be 1-D and as wide as G; a shape error names a's own shape
+        for a, match in (([1, 0, 0], "as wide as a"), ([[1, 0]], r"shape \(1, 2\)"),
+                         (1, r"shape \(\)")):
+            with pytest.raises(PreconditionViolated, match=match):
                 rate_m(a, np.eye(2))
         # a 3x3 or a ragged coefficient matrix for a 2x2 G
         for a in (np.eye(3, dtype=int), [[1, 0, 0], [0, 1]]):

@@ -14,6 +14,7 @@ from ifsmp import (
     Candidate,
     CoefficientOverflow,
     DimensionTooLarge,
+    IfsmpError,
     PreconditionViolated,
     SearchBudgetExceeded,
     SingularCoefficientMatrix,
@@ -610,13 +611,16 @@ class TestSolveSmp:
                         assert keys(hp, solve_smp(gram_matrix(hp, p)).a_star) == expected
 
     def test_near_singular_gram_rejected(self):
-        # cholesky accepts it; R's diagonal ratio 1e-15 fails the gate's rule
-        with pytest.raises(SingularInput):
-            solve_smp(np.diag([1.0, 1e-30]))
+        # R's diagonal ratio 1e-15 fails the diagonal rule, which cholesky
+        # applies itself
+        for run in (cholesky, solve_smp):
+            with pytest.raises(SingularInput):
+                run(np.diag([1.0, 1e-30]))
 
     def test_one_gate_per_solve(self, rng, monkeypatch):
-        # G's way in is cholesky plus the diagonal rule, so solve_smp never
-        # calls the triangular gate; each triangular entry point calls it once
+        # G's way in is cholesky, which applies the diagonal rule itself, so
+        # solve_smp never calls the triangular gate; each triangular entry
+        # point calls it once
         calls = [0]
         gate = matrixcore.checked_columns
 
@@ -638,19 +642,57 @@ class TestSolveSmp:
             run(r)
             assert calls[0] == 1
 
-    def test_trace_overflow_rejected_on_both_ways_in(self):
-        # G's trace is the sum of R's squares: a G that cholesky accepts
-        # gives an R that the triangular gate accepts, so solve_smp(g) and
+    def test_squares_overflow_rejected_on_every_way_in(self, rng):
+        # G and R are read by one finite rule, and cholesky returns only an
+        # R that the triangular gate accepts as it is, so solve_smp(g) and
         # solve_rsmp(cholesky(g)) agree on the float range too
-        g = np.diag([1e308, 1e308])
-        for run in (cholesky, solve_smp, lambda x: solve_rsmp(cholesky(x))):
-            with pytest.raises(PreconditionViolated, match="trace"):
-                run(g)
-        g = np.diag([8e307, 8e307])
-        sol = solve_smp(g)
-        a_star, lambdas = solve_rsmp(cholesky(g))
-        assert a_star.tobytes() == sol.a_star.tobytes()
-        assert [v.hex() for v in lambdas] == [v.hex() for v in sol.lambdas]
+        for g in (np.diag([1e308, 1e308]), np.diag([8e307, 8e307])):
+            for run in (cholesky, solve_smp, lambda x: solve_rsmp(cholesky(x))):
+                with pytest.raises(PreconditionViolated, match="squares"):
+                    run(g)
+        # squares 1.62e308, and an edge corpus: random SPD G scaled by 2^k
+        # across the float range, R diagonal ratios near 1e-14, and near-rank
+        # gram_matrix outputs at 120 dB, many of them indefinite.  A tiny
+        # diagonal entry decoupled from the rest is taken at n = 2 only: at
+        # n >= 3 the walk visits leaves in proportion to 1 / ratio, about
+        # 6e9 at n = 3 (ROADMAP item 3)
+        ratios = (0.5e-14, 0.99e-14, 1e-14, 1.01e-14, 2e-14)
+        grams = [np.diag([9e153, 9e153]), np.diag([1.0, 1e-30])]
+        grams += [np.diag([1.0, ratio * ratio]) for ratio in ratios]
+        for n in range(2, 7):
+            m = rng.standard_normal((n, n))
+            g = m.T @ m + 0.01 * np.eye(n)
+            with np.errstate(over="ignore"):  # the top scales overflow to inf
+                grams += [np.ldexp(g, k) for k in range(-1100, 1040, 16)]
+            for ratio in ratios:
+                r = np.triu(rng.standard_normal((n, n)))
+                np.fill_diagonal(r, 1.0)
+                r[-1, -1] = ratio
+                grams.append(r.T @ r)
+        for _ in range(100):
+            h = rng.standard_normal((4, 4))
+            h[:, 1] = h[:, 0] + 1e-4 * rng.standard_normal(4)
+            grams.append(gram_matrix(h, 1e12))
+
+        def outcome(run):
+            try:
+                with time_limit(5.0):
+                    a_star, lambdas = run()
+            except IfsmpError as exc:
+                return type(exc)
+            return a_star.tobytes(), [v.hex() for v in lambdas]
+
+        for g in grams:
+            try:
+                r = cholesky(g)
+            except IfsmpError as exc:
+                with pytest.raises(type(exc)) as info:
+                    solve_smp(g)
+                assert info.type is type(exc)
+                continue
+            assert np.array(matrixcore.checked_columns(r)).tobytes() == r.T.tobytes()
+            sol = outcome(lambda: dataclasses.astuple(solve_smp(g)))
+            assert outcome(lambda: solve_rsmp(r)) == sol
 
     def test_objective_scaling_covariance(self, rng):
         g = random_gram(rng, 3, p=10.0)

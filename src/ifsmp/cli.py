@@ -75,6 +75,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.out is not None:
+        try:  # an unwritable path fails before the first trial, not after the run
+            open(args.out, "a").close()
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
     records, summary = run_benchmark(config)
 

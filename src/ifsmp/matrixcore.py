@@ -9,9 +9,11 @@ two ways into the solve tail (`smp._tail`), and both are here:
   public reduced solvers) goes through `checked_columns`, which returns
   the columns of its upper triangle with negative-diagonal rows flipped.
 
-Every real array (H, G, a triangular input) is read by `_real_array`,
-whose one finite rule rejects a NaN or infinite entry and squares that
-overflow.  No stage after the two ways in checks its input again.
+Every real array (H, G, a triangular input) is 2-D and read once, by
+`_real_array`: it hands its caller the float64 array and its rows as
+Python floats, so no caller converts it again, and its one finite rule
+rejects a NaN or infinite entry and squares that overflow.  No stage
+after the two ways in checks its input again.
 `_units(n)`, the n unit columns as tuples of ints, is built once per n
 and shared by every solve that starts from an identity.
 
@@ -111,20 +113,22 @@ def _float_array(x) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def _real_array(x, ndim: int) -> tuple[np.ndarray, float]:
+def _real_array(x) -> tuple[np.ndarray, list[list[float]], float]:
     """The one reader of a real array (H, G, a triangular input) and its one
-    finite rule: x read by `_float_array`, and the sum of its squared
-    entries as a Python float.  Raises PreconditionViolated unless x is a
-    nonempty ndim-D array whose squares sum to a finite float, which a NaN,
+    finite rule: (a, rows, squares) with a the array `_float_array` reads,
+    rows its one ``tolist`` (Python floats: same decisions, cheaper than
+    numpy here), and squares the sum of its squared entries in row-major
+    order, as a Python float.  Raises PreconditionViolated unless x is a
+    nonempty 2-D array whose squares sum to a finite float, which a NaN,
     an infinite entry or an overflow prevents."""
     a = _float_array(x)
-    if a.ndim != ndim or not a.size:
-        raise PreconditionViolated(f"expected a nonempty {ndim}-D array, got shape {a.shape}")
-    flat = a.ravel().tolist()
-    squares = sum(map(mul, flat, flat))
+    if a.ndim != 2 or not a.size:
+        raise PreconditionViolated(f"expected a nonempty 2-D array, got shape {a.shape}")
+    rows = a.tolist()
+    squares = sum([v * v for v in sum(rows, [])])
     if not squares < math.inf:
         raise PreconditionViolated("array has a NaN or infinite entry, or squares that overflow")
-    return a, squares
+    return a, rows, squares
 
 
 def _real(x) -> float:
@@ -160,10 +164,9 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     squares sum to g's trace up to rounding, so `checked_columns` accepts
     it and returns its columns as they are.
     """
-    g, _ = _real_array(g, 2)
+    g, rows, _ = _real_array(g)
     if g.shape[0] != g.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {g.shape}")
-    rows = g.tolist()  # Python floats: same decisions, cheaper than numpy here
     flat = sum(rows, [])
     transposed = sum(zip(*rows), ())
     if tuple(flat) != transposed:  # gram_matrix's G is exactly symmetric
@@ -192,10 +195,9 @@ def checked_columns(m) -> list[list[float]]:
     Raises PreconditionViolated unless m is square too, and SingularInput
     unless its flipped diagonal passes `_check_diagonal`.
     """
-    m, _ = _real_array(m, 2)
+    m, rows, _ = _real_array(m)
     if m.shape[0] != m.shape[1]:
         raise PreconditionViolated(f"expected a nonempty square 2-D matrix, got shape {m.shape}")
-    rows = m.tolist()
     for i, row in enumerate(rows):
         if row[i] < 0:
             row[i:] = [-v for v in row[i:]]

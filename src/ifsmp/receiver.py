@@ -74,7 +74,7 @@ def gram_matrix(h, p: float) -> np.ndarray:
     singular.
     """
     p = _check_power(p)
-    h, squares = _real_array(h, 2)
+    h, _, squares = _real_array(h)
     # |(H H^T + I/P)_ij| <= s + 1/P, and the 2 covers rounding: m is finite
     if not 2 * (squares + 1 / p) < math.inf:
         raise PreconditionViolated("H H^T + I/P may overflow")
@@ -92,10 +92,10 @@ def _checked_gram(g, n: int) -> tuple[list[list[int]], int]:
     """G's exact form (M, d) of `matrixcore._exact_form`, G read by
     `matrixcore._real_array`, whose finite rule it passes; raises
     PreconditionViolated unless G is n x n too."""
-    g, _ = _real_array(g, 2)
+    g, rows, _ = _real_array(g)
     if g.shape != (n, n):
         raise PreconditionViolated(f"expected a square G as wide as a, got shape {g.shape}")
-    return _exact_form(g.tolist())
+    return _exact_form(rows)
 
 
 def _rate(num, den=1) -> float:

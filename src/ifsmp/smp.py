@@ -17,7 +17,12 @@ walk never reaches most of the leaves the rule would reject:
 on c_0..c_h can replace, and gives that subspace the norm of the last of
 them as its radius.  A leaf beyond it would be inserted after every column
 it could replace, so it is always a rejected one, and skipping it leaves
-every output bit for bit as a flat radius gives it.
+every output bit for bit as a flat radius gives it.  The radius is keyed
+on the prefix c_0..c_h, not on a leaf's own support, so a leaf that skips
+a coordinate still gets the whole prefix's radius: when r_bar_00 is tiny,
+every leaf b + k e_0 of a basis column b inside that radius is walked and
+rejected, about 2 sqrt(radius^2 - ||b||^2) / r_bar_00 of them (ROADMAP
+item 3).
 `brute_force_smp`, the ground-truth oracle, collects every leaf of one
 fixed-radius search on the same `enumeration._search` engine and selects
 greedily with exact ranks; `baseline_smp` rebuilds the column-by-column

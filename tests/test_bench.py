@@ -212,10 +212,16 @@ class TestCli:
             assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_io_error_exit_code(self, capsys):
-        code = cli_main(["--nt", "2", "--pdb", "2", "--trials", "1",
+    def test_io_error_exit_code(self, capsys, monkeypatch):
+        # the path is opened before run_benchmark, so no trial is solved
+        def unreachable(config):
+            raise AssertionError("run_benchmark called")
+
+        monkeypatch.setattr(cli, "run_benchmark", unreachable)
+        code = cli_main(["--nt", "2,4", "--pdb", "0:10:20", "--trials", "300",
                          "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
+        assert "i/o error" in capsys.readouterr().err
 
     def test_small_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import exact_gram
 from scipy.linalg import cho_factor, cho_solve
 
 from ifsmp import (
@@ -84,6 +85,30 @@ class TestGramMatrix:
             ref = np.eye(nt) - h.T @ x
             g = gram_matrix(h, p)
             assert g.dtype == np.float64 and g.tobytes() == ((ref + ref.T) / 2).tobytes()
+
+    def test_close_to_exact_gram(self):
+        # G = I - H^T X with X from a Cholesky solve of M = H H^T + I/P,
+        # whose condition number is 1 + P sigma_max^2 (sigma_max: H's
+        # largest singular value); to first order the error relative to
+        # max|G| is c eps (1 + P sigma_max^2).  c = 4 (n) holds a 7x
+        # margin over the worst measured error / (eps (1 + P sigma_max^2)),
+        # 0.55 (Gaussian, 10 dB); near-rank channels (column 1 = column 0
+        # + 1e-4 N(0, 1)) stay below 0.36.  ROADMAP item 9 tabulates the
+        # errors
+        rng = np.random.default_rng(11)
+        for near_rank in (False, True):
+            for p_db in (0, 10, 20, 30, 40):
+                p = 10.0 ** (p_db / 10)
+                for _ in range(30):
+                    h = rng.standard_normal((4, 4))
+                    if near_rank:
+                        h[:, 1] = h[:, 0] + 1e-4 * rng.standard_normal(4)
+                    g, exact = gram_matrix(h, p).tolist(), exact_gram(h, p)
+                    err = max(abs(Fraction(x) - e)
+                              for row, ex in zip(g, exact) for x, e in zip(row, ex))
+                    scale = max(abs(e) for row in exact for e in row)
+                    sigma_max = np.linalg.norm(h, 2)
+                    assert err <= 4 * 2.0**-52 * (1 + p * sigma_max**2) * scale
 
     @pytest.mark.parametrize("linalg_first", [False, True])
     def test_fresh_interpreter_lapack(self, linalg_first):

@@ -17,13 +17,13 @@ after the two ways in checks its input again.
 `_units(n)`, the n unit columns as tuples of ints, is built once per n
 and shared by every solve that starts from an identity.
 
-`cholesky` and `receiver.gram_matrix` call LAPACK from scipy's compiled
-``scipy/linalg/_flapack``, which `_load_flapack` loads once by file.  It
-finds scipy's directory without running scipy's package ``__init__``, so
-`import ifsmp` imports neither `scipy.linalg` (whose start-up imports much
-of numpy that ifsmp never uses) nor `scipy` (whose package init alone
-holds about 0.7 MB of resident memory); R has the bits of
-``scipy.linalg.lapack.dpotrf``, the same compiled function.
+`cholesky` and `receiver.gram_matrix` factor with LAPACK ``dpotrf`` through
+`_factor`, which calls numpy's own gufunc ``cholesky_up`` (what
+``np.linalg.cholesky(a, upper=True)`` calls, without the wrapper's
+per-call cost), and `gram_matrix` inverts the factor with numpy's ``inv``
+gufunc: the process maps numpy's one BLAS and LAPACK, and `import ifsmp`
+needs no scipy.  R has the bits of ``scipy.linalg.lapack.dpotrf`` for the
+same G.
 
 Integer matrices are handled with native Python ints internally, so every
 rank / determinant decision is exact: no tolerance, no overflow (Python
@@ -35,14 +35,12 @@ two d, so that a^T G a = `_quad`(M, a) / d is exact for integer a.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from functools import lru_cache
-from importlib.machinery import PathFinder
-from importlib.util import find_spec, module_from_spec
 from operator import mul, sub
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_up, inv  # noqa: F401  (inv: receiver)
 
 from .errors import (
     CoefficientOverflow,
@@ -56,42 +54,18 @@ SYMMETRY_RTOL = 1e-12
 SINGULAR_RTOL = 1e-14
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK extension, loaded from its file without
-    running scipy's package ``__init__`` or importing the `scipy.linalg`
-    package around it; `find_spec` only locates scipy's directory.
-
-    Raises ModuleNotFoundError without scipy, and ImportError naming the
-    file when scipy has no ``linalg/_flapack``.  If loading the extension
-    raises ImportError, scipy is imported and the load tried once more:
-    on Windows, scipy's ``__init__`` is what adds the directory of the
-    DLLs the extension links against to the search path."""
-    package = find_spec("scipy")
-    if package is None:
-        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")  # untyped: no scipy
-    linalg_dir = os.path.join(os.path.dirname(package.origin), "linalg")
-    spec = PathFinder.find_spec("_flapack", [linalg_dir])
-    if spec is None:
-        raise ImportError("scipy has no LAPACK extension "  # untyped: a broken scipy
-                          f"{os.path.join(linalg_dir, '_flapack')}.*")
+def _factor(a: np.ndarray) -> np.ndarray:
+    """numpy's LAPACK ``dpotrf`` on a's upper triangle, with the lower one
+    zeroed; all NaN when it fails.  numpy signals a failed factor as an
+    invalid value: under ``np.errstate(invalid="raise")`` or with warnings
+    as errors that raises, which is caught here, and under Python's
+    default filters numpy prints "invalid value encountered in
+    cholesky_up" once, the first time a factor fails in the process.  No
+    ``np.errstate`` wraps the call, as it costs more than the factor."""
     try:
-        return _exec(spec)
-    except ImportError:
-        import scipy  # noqa: F401  (its __init__ sets up the DLL search path)
-
-        return _exec(spec)
-
-
-def _exec(spec):
-    """The module of an extension's spec: created, which loads the shared
-    library and runs its init function, then executed."""
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_flapack = _load_flapack()
-dposv, dpotrf = _flapack.dposv, _flapack.dpotrf
+        return cholesky_up(a)
+    except (RuntimeWarning, FloatingPointError):
+        return np.full(a.shape, math.nan)
 
 
 def _float_array(x) -> np.ndarray:
@@ -151,14 +125,17 @@ def _real(x) -> float:
 def cholesky(g: np.ndarray) -> np.ndarray:
     """Upper-triangular Cholesky factor R of a symmetric positive definite
     matrix, with R^T R = g and positive diagonal: LAPACK ``dpotrf`` on the
-    upper triangle, with the lower one zeroed.
+    upper triangle, with the lower one zeroed (`_factor`).
 
     g is read by `_real_array`.  Raises PreconditionViolated (not a
     nonempty 2-D real array, or squares that are not finite),
     NotSymmetric (not square, or asymmetric), NotPositiveDefinite or
-    SingularInput.  ``dpotrf`` reports success on some finite g whose
-    pivots overflow to NaN, so a diagonal entry that is not positive
-    fails too; the diagonal then passes `_check_diagonal`.  A returned R
+    SingularInput.  When ``dpotrf`` fails, NotPositiveDefinite says so,
+    and under Python's default warning filters numpy first prints its
+    "invalid value encountered in cholesky_up" warning (`_factor`).
+    ``dpotrf`` reports success on some finite g whose pivots overflow to
+    NaN, so a diagonal entry that is not positive fails too, naming the
+    pivot; the diagonal then passes `_check_diagonal`.  A returned R
     is finite, as every entry above the diagonal enters the pivot of its
     column, which a NaN or infinite one would make NaN or -inf, and its
     squares sum to g's trace up to rounding, so `checked_columns` accepts
@@ -173,12 +150,12 @@ def cholesky(g: np.ndarray) -> np.ndarray:
         asym = max(map(abs, map(sub, flat, transposed)))
         if not asym <= SYMMETRY_RTOL * (max(map(abs, flat)) or 1.0):
             raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
-    r, info = dpotrf(g, lower=0, clean=1)
-    if info < 0:
-        raise ValueError(f"LAPACK rejected argument {-info}")  # untyped: a library fault
+    r = _factor(g)
     diag = r.diagonal().tolist()
-    if info or not all(map((0.0).__lt__, diag)):
-        j = info - 1 if info else next(i for i, d in enumerate(diag) if not d > 0.0)
+    if not all(map((0.0).__lt__, diag)):
+        j = next(i for i, d in enumerate(diag) if not d > 0.0)
+        if not j:  # r_00 = sqrt(g_00) > 0 unless dpotrf failed and r is all NaN
+            raise NotPositiveDefinite("dpotrf failed: the matrix is not positive definite")
         raise NotPositiveDefinite(f"pivot {diag[j]} at index {j}")
     _check_diagonal(diag)
     return r

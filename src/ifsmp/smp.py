@@ -41,8 +41,8 @@ unit columns every solve starts from (the identity z, the permuted
 identity C and its adj) are the shared tuples of `matrixcore._units`,
 built once per n.  Per-call numpy overhead dominates at small n, so
 lists are faster there.  `gram_matrix` and the pipeline's factor stay
-numpy: both factor with LAPACK ``dpotrf``, whose bits a Python loop would
-not keep.
+numpy: both factor with numpy's LAPACK ``dpotrf`` (`matrixcore._factor`),
+whose bits a Python loop would not keep.
 
 Every input enters by one of the two ways in of `matrixcore`: G by
 `cholesky` in `_pipeline`, a triangular input by `checked_columns` in each

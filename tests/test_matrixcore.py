@@ -89,6 +89,24 @@ class TestCholesky:
             with pytest.raises(PreconditionViolated):
                 cholesky(g)
 
+    def test_failed_factor_typed_in_every_regime(self):
+        # numpy signals a failed dpotrf as an invalid value: a warning under
+        # the default filters, an exception with warnings as errors or under
+        # np.errstate(invalid="raise"); each gives the typed error
+        def failed_factors():
+            with pytest.raises(NotPositiveDefinite, match="dpotrf failed"):
+                cholesky([[1.0, 2.0], [2.0, 1.0]])
+            with pytest.raises(NotPositiveDefinite, match="numerically singular"):
+                gram_matrix(np.ones((3, 3)), 1e20)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failed_factors()
+        with np.errstate(invalid="raise"):
+            failed_factors()
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            failed_factors()
+
     def test_asymmetric_rejected(self):
         # a finite 2-D array that is not square or not symmetric; the finite
         # rule comes first, so a 1-D, empty or NaN G and a pair whose
@@ -106,7 +124,8 @@ class TestCholesky:
 
     def test_bytes_match_dpotrf_reference(self, rng):
         # R is LAPACK dpotrf's upper factor with the lower triangle zeroed,
-        # byte for byte, as scipy.linalg.lapack exports it
+        # byte for byte: numpy's LAPACK gives the bits of the one
+        # scipy.linalg.lapack exports, an independent build
         grams = []
         for nt in range(1, 9):
             for p_db in (0.0, 10.0, 20.0):
@@ -124,6 +143,12 @@ class TestCholesky:
             b = rng.integers(-1, 2, (n, n)) * (rng.random((n, n)) < 0.6)
             if int_det(b) != 0:
                 grams.append((b.T @ b).astype(float))
+        # a Fortran-ordered G and a strided view of G read the same
+        for g in grams[:40]:
+            grams.append(np.asfortranarray(g))
+            padded = np.zeros((2 * len(g), 3 * len(g)))
+            padded[::2, ::3] = g
+            grams.append(padded[::2, ::3])
         for g in grams:
             r = cholesky(g)
             assert r.dtype == np.float64 and r.tobytes() == dpotrf(g, lower=0, clean=1)[0].tobytes()

@@ -33,10 +33,11 @@ and tests a node at level k against radii[top]: every leaf below it ends
 at c_top.  `enumerate_below`, the oracle and the baseline pass a flat list,
 which is the ordinary sphere; `smp.solve_rsmp` derives tighter radii for
 the low subspaces from its basis, so it never enters a region where every
-leaf would be rejected.  The walk trusts its rows to have come through
-one of the two ways in (`matrixcore`), which keep every square it
+leaf would be rejected.  The walk trusts its columns to have come
+through one of the two ways in (`matrixcore`), which keep every square it
 compares a normal float: no radius or distance underflows to zero or
-overflows.
+overflows.  r_bar, z and c_star travel as columns; only the walk reads
+rows, and `_int64` builds a_star's rows.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ from .matrixcore import _int64, _real, checked_columns
 
 
 def _search(
-    rows: list[list[float]],
+    cols: list[list[float]],
     radii: list[float],
     on_leaf: Callable[[list[int], float], Optional[list[float]]],
 ) -> int:
-    """Depth-first search of sign-canonical c with ||R c||^2 < radii[top(c)].
+    """Depth-first search of sign-canonical c with ||R c||^2 < radii[top(c)],
+    for the columns of an upper-triangular R, read as rows once, on entry.
 
     ``radii`` holds one squared radius per highest nonzero index: a vector
     whose last nonzero coordinate is h is a candidate only below radii[h].
@@ -65,6 +67,7 @@ def _search(
     every in-radius vector is reached even when the radii just shrank.
     Returns the number of nonzero leaves visited.
     """
+    rows = list(zip(*cols))
     n = len(rows)
     c = [0] * n
     d = [0.0] * n
@@ -133,9 +136,9 @@ def enumerate_below(r_bar, beta: float, visit) -> int:
         beta_sq = math.inf
     if not beta_sq < math.inf:
         raise PreconditionViolated(f"beta must be positive with a finite square, got {beta!r}")
-    rows = list(zip(*checked_columns(r_bar)))
+    cols = checked_columns(r_bar)
 
     def on_leaf(c: list[int], norm_sq: float) -> None:
         visit(_int64([c])[0])
 
-    return _search(rows, [beta_sq] * len(rows), on_leaf)
+    return _search(cols, [beta_sq] * len(cols), on_leaf)

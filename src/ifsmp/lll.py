@@ -14,13 +14,11 @@ step costs no numpy scalar access or fancy indexing and Z cannot overflow.
 It takes the columns of R, which it reduces in place, and trusts them to
 have passed one of the two ways in (`matrixcore`).  Z starts as the
 shared unit columns `matrixcore._units(n)`, tuples that a step replaces
-and never writes to.
-The kernel returns r_bar as its rows, the tuples ``zip`` makes, which
-`smp._pipeline` hands straight to the reduced solver, and z as the list of
-its columns, from which `smp._unreduce` gathers a_star; every consumer
-only reads them.  `lll_reduce` is the public ndarray wrapper: it checks
-delta (the pipeline always runs at DEFAULT_DELTA), takes R's columns from
-`matrixcore.checked_columns`, and transposes z once.
+and never writes to.  r_bar, z and c_star travel as columns; only the
+walk reads rows, and `_int64` builds a_star's rows.  `lll_reduce` is the
+public ndarray wrapper: it checks delta (the pipeline always runs at
+DEFAULT_DELTA), takes R's columns from `matrixcore.checked_columns`, and
+transposes r_bar and z once each.
 """
 
 from __future__ import annotations
@@ -71,15 +69,15 @@ def lll_reduce(r, delta: float = DEFAULT_DELTA) -> LllResult:
     d = _real(delta)
     if not 0.25 < d <= 1.0:
         raise PreconditionViolated(f"delta must be a real scalar in (1/4, 1], got {delta!r}")
-    r_bar, z = _lll(checked_columns(r), d)
-    return LllResult(r_bar=np.array(r_bar), z=_int64(list(zip(*z))))
+    cols, z = _lll(checked_columns(r), d)
+    return LllResult(r_bar=np.array(list(zip(*cols))), z=_int64(list(zip(*z))))
 
 
-def _lll(cols: list[list[float]], delta: float) -> tuple[list[tuple[float, ...]], list]:
+def _lll(cols: list[list[float]], delta: float) -> tuple[list[list[float]], list]:
     """The LLL kernel: `lll_reduce` on the columns of an R that came
     through one of the two ways in (`matrixcore`), for a delta in
-    (1/4, 1].  The columns are reduced in place.  Returns the rows of r_bar
-    as tuples of floats and the columns of z as sequences of Python ints:
+    (1/4, 1].  The columns are reduced in place.  Returns them, the
+    columns of r_bar, and the columns of z as sequences of Python ints:
     z starts from the shared `_units(n)`, whose tuples a step replaces with
     lists and never writes to.  Raises SearchBudgetExceeded after
     `_sweep_cap(n)` steps."""
@@ -120,4 +118,4 @@ def _lll(cols: list[list[float]], delta: float) -> tuple[list[tuple[float, ...]]
                     col[: i + 1] = [x - mu * y for x, y in zip(col[: i + 1], cols[i])]
                     z[k] = [x - mu * y for x, y in zip(z[k], z[i])]
             k += 1
-    return list(zip(*cols)), z
+    return cols, z

@@ -20,10 +20,10 @@ and shared by every solve that starts from an identity.
 `cholesky` and `receiver.gram_matrix` factor with LAPACK ``dpotrf`` through
 `_factor`, which calls numpy's own gufunc ``cholesky_up`` (what
 ``np.linalg.cholesky(a, upper=True)`` calls, without the wrapper's
-per-call cost), and `gram_matrix` inverts the factor with numpy's ``inv``
-gufunc: the process maps numpy's one BLAS and LAPACK, and `import ifsmp`
-needs no scipy.  R has the bits of ``scipy.linalg.lapack.dpotrf`` for the
-same G.
+per-call cost) and alone decides that a factor failed, and `gram_matrix`
+inverts the factor with numpy's ``inv`` gufunc: the process maps numpy's
+one BLAS and LAPACK, and `import ifsmp` needs no scipy.  R has the bits
+of ``scipy.linalg.lapack.dpotrf`` for the same G.
 
 Integer matrices are handled with native Python ints internally, so every
 rank / determinant decision is exact: no tolerance, no overflow (Python
@@ -40,7 +40,7 @@ from functools import lru_cache
 from operator import mul, sub
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_up, inv  # noqa: F401  (inv: receiver)
+from numpy.linalg._umath_linalg import cholesky_up
 
 from .errors import (
     CoefficientOverflow,
@@ -54,18 +54,23 @@ SYMMETRY_RTOL = 1e-12
 SINGULAR_RTOL = 1e-14
 
 
-def _factor(a: np.ndarray) -> np.ndarray:
+def _factor(a: np.ndarray, failed: str) -> np.ndarray:
     """numpy's LAPACK ``dpotrf`` on a's upper triangle, with the lower one
-    zeroed; all NaN when it fails.  numpy signals a failed factor as an
-    invalid value: under ``np.errstate(invalid="raise")`` or with warnings
-    as errors that raises, which is caught here, and under Python's
-    default filters numpy prints "invalid value encountered in
-    cholesky_up" once, the first time a factor fails in the process.  No
+    zeroed; raises NotPositiveDefinite(failed) when it fails.  numpy
+    signals a failed factor as an invalid value: under
+    ``np.errstate(invalid="raise")`` or with warnings as errors that
+    raises, which is caught here, and under Python's default filters numpy
+    prints "invalid value encountered in cholesky_up" once, the first time
+    a factor fails in the process, and returns a factor whose r_00 is not
+    positive, as a ``dpotrf`` that succeeds never does.  No
     ``np.errstate`` wraps the call, as it costs more than the factor."""
     try:
-        return cholesky_up(a)
+        r = cholesky_up(a)
     except (RuntimeWarning, FloatingPointError):
-        return np.full(a.shape, math.nan)
+        raise NotPositiveDefinite(failed) from None
+    if not r[0, 0] > 0.0:
+        raise NotPositiveDefinite(failed)
+    return r
 
 
 def _float_array(x) -> np.ndarray:
@@ -130,16 +135,15 @@ def cholesky(g: np.ndarray) -> np.ndarray:
     g is read by `_real_array`.  Raises PreconditionViolated (not a
     nonempty 2-D real array, or squares that are not finite),
     NotSymmetric (not square, or asymmetric), NotPositiveDefinite or
-    SingularInput.  When ``dpotrf`` fails, NotPositiveDefinite says so,
-    and under Python's default warning filters numpy first prints its
-    "invalid value encountered in cholesky_up" warning (`_factor`).
-    ``dpotrf`` reports success on some finite g whose pivots overflow to
-    NaN, so a diagonal entry that is not positive fails too, naming the
-    pivot; the diagonal then passes `_check_diagonal`.  A returned R
-    is finite, as every entry above the diagonal enters the pivot of its
-    column, which a NaN or infinite one would make NaN or -inf, and its
-    squares sum to g's trace up to rounding, so `checked_columns` accepts
-    it and returns its columns as they are.
+    SingularInput.  When ``dpotrf`` fails, `_factor` raises
+    NotPositiveDefinite, saying so.  ``dpotrf`` reports success on some
+    finite g whose pivots overflow to NaN, so a diagonal entry that is not
+    positive fails too, naming the pivot; the diagonal then passes
+    `_check_diagonal`.  A returned R is finite, as every entry above the
+    diagonal enters the pivot of its column, which a NaN or infinite one
+    would make NaN or -inf, and its squares sum to g's trace up to
+    rounding, so `checked_columns` accepts it and returns its columns as
+    they are.
     """
     g, rows, _ = _real_array(g)
     if g.shape[0] != g.shape[1]:
@@ -150,12 +154,10 @@ def cholesky(g: np.ndarray) -> np.ndarray:
         asym = max(map(abs, map(sub, flat, transposed)))
         if not asym <= SYMMETRY_RTOL * (max(map(abs, flat)) or 1.0):
             raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
-    r = _factor(g)
+    r = _factor(g, "dpotrf failed: the matrix is not positive definite")
     diag = r.diagonal().tolist()
     if not all(map((0.0).__lt__, diag)):
         j = next(i for i, d in enumerate(diag) if not d > 0.0)
-        if not j:  # r_00 = sqrt(g_00) > 0 unless dpotrf failed and r is all NaN
-            raise NotPositiveDefinite("dpotrf failed: the matrix is not positive definite")
         raise NotPositiveDefinite(f"pivot {diag[j]} at index {j}")
     _check_diagonal(diag)
     return r

@@ -20,15 +20,15 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg._umath_linalg import inv
 
 from .errors import (
     InvalidPower,
-    NotPositiveDefinite,
     PreconditionViolated,
     SingularCoefficientMatrix,
     ZeroVector,
 )
-from .matrixcore import _exact_form, _factor, _quad, _real, _real_array, _to_int_rows, int_det, inv
+from .matrixcore import _exact_form, _factor, _quad, _real, _real_array, _to_int_rows, int_det
 
 
 @lru_cache(maxsize=64)
@@ -75,9 +75,8 @@ def gram_matrix(h, p: float) -> np.ndarray:
     PreconditionViolated unless H is a nonempty 2-D real matrix, read by
     `matrixcore._real_array`, whose finite sum of squares s gives a finite
     2 (s + 1/P), and NotPositiveDefinite when H H^T + I/P is numerically
-    singular, that is when ``dpotrf`` fails on it; under Python's default
-    warning filters numpy first prints its "invalid value encountered in
-    cholesky_up" warning (`matrixcore._factor`).
+    singular, that is when ``dpotrf`` fails on it (`matrixcore._factor`
+    raises it).
     """
     p = _check_power(p)
     h, _, squares = _real_array(h)
@@ -85,9 +84,7 @@ def gram_matrix(h, p: float) -> np.ndarray:
     if not 2 * (squares + 1 / p) < math.inf:
         raise PreconditionViolated("H H^T + I/P may overflow")
     m = h @ h.T + _identity(h.shape[0]) / p
-    u = _factor(m)
-    if not u[-1, -1] > 0.0:  # a failed factor is all NaN
-        raise NotPositiveDefinite("H H^T + I/P is numerically singular")
+    u = _factor(m, "H H^T + I/P is numerically singular")
     w = inv(u).T @ h
     return _identity(h.shape[1]) - w.T @ w
 

@@ -32,11 +32,10 @@ through `_pipeline`.
 
 Between Cholesky and a_star the pipeline works on Python lists: R is
 read once, by one ``tolist`` of its transpose into the columns the LLL
-kernel reduces, r_bar leaves that kernel as a list of row tuples and z as
-a list of columns, the reduced solver's kernel returns the columns of
-c_star as tuples of ints, and each column of a_star is gathered in Python
-ints from the columns of z, as the sum of c_k z_k over the nonzero
-entries c_k of its column of c_star, and converted to int64 once.  The
+kernel reduces.  r_bar, z and c_star travel as columns; only the walk
+reads rows, and `_int64` builds a_star's rows.  Each column of a_star is
+gathered in Python ints from the columns of z, as the sum of c_k z_k over
+the nonzero entries c_k of its column of c_star.  The
 unit columns every solve starts from (the identity z, the permuted
 identity C and its adj) are the shared tuples of `matrixcore._units`,
 built once per n.  Per-call numpy overhead dominates at small n, so
@@ -49,7 +48,7 @@ Every input enters by one of the two ways in of `matrixcore`: G by
 public reduced solver, as in `lll_reduce`; both read it by
 `matrixcore._real_array`'s one finite rule, `cholesky` returns only an R
 that `checked_columns` accepts, and the LLL and reduced-solver kernels
-after them trust their rows.  One tail, `_tail`, then runs `_lll` at
+after them trust their columns.  One tail, `_tail`, then runs `_lll` at
 DEFAULT_DELTA, the kernel and `_unreduce`, so a public reduced solver
 reduces its input first and returns c_star in the input's coordinates.
 On `lll_reduce` output that second reduction takes no step, so the
@@ -159,30 +158,28 @@ def _exchange(cols: list, norms: list, adj: list, d: int, c, norm: float) -> int
         m = cols.index(col)
         if m < i:
             return None
-        del cols[m], norms[m]
-        cols.insert(i, col)
-        norms.insert(i, norm)
-        adj.insert(i, adj.pop(m))
-        return d
-    n = len(cols)
-    for m in range(n - 1, i - 1, -1):
-        y_m = sum(map(mul, adj[m], c))
-        if y_m:
-            break
+        y_m = d
     else:
-        return None
-    row_m = adj[m]
-    for k in range(m):
-        row = adj[k]
-        y_k = sum(map(mul, row, c))
-        # exact: the result is +-adj of the updated basis
-        adj[k] = [(y_m * a - y_k * b) // d for a, b in zip(row, row_m)]
-    for k in range(m + 1, n):
-        adj[k] = [y_m * a // d for a in adj[k]]
-    del cols[m], norms[m], adj[m]
+        n = len(cols)
+        for m in range(n - 1, i - 1, -1):
+            y_m = sum(map(mul, adj[m], c))
+            if y_m:
+                break
+        else:
+            return None
+        row_m = adj[m]
+        for k in range(m):
+            row = adj[k]
+            y_k = sum(map(mul, row, c))
+            # exact: the result is +-adj of the updated basis
+            adj[k] = [(y_m * a - y_k * b) // d for a, b in zip(row, row_m)]
+        for k in range(m + 1, n):
+            adj[k] = [y_m * a // d for a in adj[k]]
+    # both steps leave adj row m as it is and move it with column m to i
+    del cols[m], norms[m]
     cols.insert(i, col)
     norms.insert(i, norm)
-    adj.insert(i, row_m)
+    adj.insert(i, adj.pop(m))
     return y_m
 
 
@@ -232,9 +229,9 @@ def update_basis(basis: WorkingBasis, cand: Candidate) -> WorkingBasis:
     return WorkingBasis(cols=tuple(cols), norms=tuple(norms))
 
 
-def _identity_norms(rows: list[list[float]]) -> list[float]:
-    """||r_bar e_k|| for each k, of an upper-triangular r_bar given as rows."""
-    return [math.hypot(*col[:k + 1]) for k, col in enumerate(zip(*rows))]
+def _identity_norms(cols: list[list[float]]) -> list[float]:
+    """||r_bar e_k|| for each k, of an upper-triangular r_bar given as columns."""
+    return [math.hypot(*col[:k + 1]) for k, col in enumerate(cols)]
 
 
 # The one relative pad on every squared radius derived from a float norm:
@@ -301,12 +298,12 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     return _tail(checked_columns(r_bar), _rsmp)
 
 
-def _rsmp(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
-    """`solve_rsmp` on trusted rows: the columns of c_star, and their norms."""
+def _rsmp(r_cols: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
+    """`solve_rsmp` on trusted columns: the columns of c_star, and their norms."""
     # permuted identity columns sorted by ||r_bar e_k|| (stable); as
     # C^-1 = C^T for a permutation, row k of adj is column k of C
-    n = len(rows)
-    col_norms = _identity_norms(rows)
+    n = len(r_cols)
+    col_norms = _identity_norms(r_cols)
     units = _units(n)
     cols = [units[k] for k in sorted(range(n), key=col_norms.__getitem__)]
     adj = cols.copy()
@@ -321,7 +318,7 @@ def _rsmp(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
         d = new_d
         return _subspace_radii(norms, adj)
 
-    _search(rows, _subspace_radii(norms, adj), on_leaf)
+    _search(r_cols, _subspace_radii(norms, adj), on_leaf)
     return cols, norms
 
 
@@ -413,14 +410,14 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     return _tail(checked_columns(r_bar), _brute_force)
 
 
-def _brute_force(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
-    """`brute_force_smp` on trusted rows: the columns of c_star, and their norms."""
-    n = len(rows)
+def _brute_force(r_cols: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
+    """`brute_force_smp` on trusted columns: the columns of c_star, and their norms."""
+    n = len(r_cols)
     if n > ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
     leaves: list[tuple[float, tuple[int, ...]]] = []
-    beta_sq = max(_identity_norms(rows)) ** 2 * _RADIUS_PAD
-    _search(rows, [beta_sq] * n, lambda c, norm_sq: leaves.append((math.sqrt(norm_sq), tuple(c))))
+    beta_sq = max(_identity_norms(r_cols)) ** 2 * _RADIUS_PAD
+    _search(r_cols, [beta_sq] * n, lambda c, norm_sq: leaves.append((math.sqrt(norm_sq), tuple(c))))
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
     for norm, vec in sorted(leaves, key=lambda leaf: leaf[0]):
@@ -450,9 +447,9 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     return _tail(checked_columns(r_bar), _baseline)
 
 
-def _baseline(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
-    """`baseline_smp` on trusted rows: the columns of c_star, and their norms."""
-    n = len(rows)
+def _baseline(r_cols: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
+    """`baseline_smp` on trusted columns: the columns of c_star, and their norms."""
+    n = len(r_cols)
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
 
@@ -463,9 +460,9 @@ def _baseline(rows: list[list[float]]) -> tuple[list[tuple[int, ...]], list[floa
         best = norm_sq, tuple(c)
         return [norm_sq] * n
 
-    for norm in sorted(_identity_norms(rows)):
+    for norm in sorted(_identity_norms(r_cols)):
         best = None
-        _search(rows, [norm ** 2 * _RADIUS_PAD] * n, on_leaf)
+        _search(r_cols, [norm ** 2 * _RADIUS_PAD] * n, on_leaf)
         if best is None:
             raise SearchBudgetExceeded("ball search failed to find an independent vector")
         chosen.append(best[1])

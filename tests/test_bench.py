@@ -59,6 +59,9 @@ class TestConfigValidation:
                 config.validate()
             with pytest.raises(ConfigError):
                 run_benchmark(config)
+        # and a grid needs one power at least
+        with pytest.raises(ConfigError, match="p_list_db must not be empty"):
+            BenchConfig(nt_list=(2,), p_list_db=()).validate()
 
     def test_non_integer_counts_rejected(self):
         # each would fail inside run_benchmark with a bare TypeError; a
@@ -212,16 +215,28 @@ class TestCli:
             assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_io_error_exit_code(self, capsys, monkeypatch):
+    def test_io_error_exit_code(self, capsys, monkeypatch, tmp_path):
         # the path is opened before run_benchmark, so no trial is solved
         def unreachable(config):
             raise AssertionError("run_benchmark called")
 
-        monkeypatch.setattr(cli, "run_benchmark", unreachable)
-        code = cli_main(["--nt", "2,4", "--pdb", "0:10:20", "--trials", "300",
-                         "--out", "/nonexistent-dir/x.csv"])
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_benchmark", unreachable)
+            code = cli_main(["--nt", "2,4", "--pdb", "0:10:20", "--trials", "300",
+                             "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
         assert "i/o error" in capsys.readouterr().err
+
+        # a write that fails after the run exits 2 as well
+        def failing_write(*args):
+            raise OSError("disk full")
+
+        for writer, name in (("write_csv", "x.csv"), ("write_json", "x.json")):
+            monkeypatch.setattr(cli, writer, failing_write)
+            code = cli_main(["--nt", "2", "--pdb", "2", "--trials", "1", "--algs", "new",
+                             "--out", str(tmp_path / name)])
+            assert code == 2
+            assert "i/o error: disk full" in capsys.readouterr().err
 
     def test_small_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -246,9 +246,9 @@ def test_second_reduction_is_the_identity(r_bar):
     # the public reduced solvers reduce their input again, so on reduced
     # input they keep their answers bit for bit only if this second pass
     # takes no size-reduction step and no swap
-    rows, z = _lll(r_bar.T.tolist(), DEFAULT_DELTA)
+    cols, z = _lll(r_bar.T.tolist(), DEFAULT_DELTA)
     assert tuple(z) == _units(len(z))
-    assert np.array(rows).tobytes() == r_bar.tobytes()
+    assert np.array(cols).T.tobytes() == r_bar.tobytes()
 
 
 def test_delta_one_accepted(rng):

@@ -160,11 +160,11 @@ def basis_and_refound_column(draw):
     return cols, norms, adj, d, cand, draw(st.sampled_from(pool))
 
 
-def flat_radius_rsmp(rows):
+def flat_radius_rsmp(r_cols):
     """The kernel of `solve_rsmp` with one flat radius: `_search` at
     [norms[-1]^2] * n, reset on every accept, plus the `_exchange` rule."""
-    n = len(rows)
-    col_norms = _identity_norms(rows)
+    n = len(r_cols)
+    col_norms = _identity_norms(r_cols)
     order = sorted(range(n), key=lambda k: col_norms[k])
     cols = [tuple(int(r == k) for r in range(n)) for k in order]
     norms = [col_norms[k] for k in order]
@@ -181,7 +181,7 @@ def flat_radius_rsmp(rows):
         scale[0] = new_d
         return [norms[-1] ** 2] * n
 
-    _search(rows, [norms[-1] ** 2] * n, on_leaf)
+    _search(r_cols, [norms[-1] ** 2] * n, on_leaf)
     return cols, norms
 
 
@@ -189,12 +189,12 @@ def count_leaves(monkeypatch):
     """Wrap the solvers' `_search` so that every leaf it visits is counted."""
     leaves = [0]
 
-    def counting(rows, radii, on_leaf):
+    def counting(r_cols, radii, on_leaf):
         def counted(c, norm_sq):
             leaves[0] += 1
             return on_leaf(c, norm_sq)
 
-        return _search(rows, radii, counted)
+        return _search(r_cols, radii, counted)
 
     monkeypatch.setattr(smp, "_search", counting)
     return leaves
@@ -878,7 +878,7 @@ def test_empty_products_keep_their_shape():
 def test_reference_solvers_that_find_nothing_raise_typed(monkeypatch):
     # a walk that visits no leaf leaves the oracle without a basis and the
     # baseline without an independent vector
-    monkeypatch.setattr(smp, "_search", lambda rows, radii, on_leaf: 0)
+    monkeypatch.setattr(smp, "_search", lambda r_cols, radii, on_leaf: 0)
     for solve in (brute_force_smp, baseline_smp):
         with pytest.raises(SearchBudgetExceeded) as info:
             solve(np.eye(2))

@@ -2,8 +2,8 @@
 
 `_search` used to descend the all-zero path from level n-1 before its first
 real node; it now starts where that descent ends.  `parent_search` below is
-the walk as it was, and every test here holds the two to the same leaves,
-bit for bit, in the same order.
+the walk as it was, on rows where `_search` takes columns, and every test
+here holds the two to the same leaves, bit for bit, in the same order.
 """
 
 import math
@@ -71,17 +71,6 @@ def parent_search(rows, radii, on_leaf):
             s[k] = -sk - (1 if sk >= 0 else -1)
 
 
-class CountingRows(list):
-    """Rows that count how often the walk reads one: once per node and once
-    more per descent."""
-
-    reads = 0
-
-    def __getitem__(self, k):
-        self.reads += 1
-        return super().__getitem__(k)
-
-
 class Stop(Exception):
     pass
 
@@ -89,11 +78,19 @@ class Stop(Exception):
 MAX_LEAVES = 3000
 
 
-def walk(search, rows, radii, shrink):
+def walk(search, r, radii, shrink):
     """(leaves as (c, norm_sq.hex()), return value or None if stopped at
-    MAX_LEAVES, row reads) of one walk; with ``shrink`` every third leaf
-    caps each radius at its squared norm, as the solvers' updates do."""
-    rows = CountingRows(rows)
+    MAX_LEAVES, node tests) of one walk on r, the columns or rows that
+    ``search`` takes; with ``shrink`` every third leaf caps each radius at
+    its squared norm, as the solvers' updates do.  A walk reads
+    radii[top] once per node test, and nowhere else."""
+    tests = [0]
+
+    class CountingRadii(list):
+        def __getitem__(self, k):
+            tests[0] += 1
+            return super().__getitem__(k)
+
     leaves = []
 
     def on_leaf(c, norm_sq):
@@ -101,14 +98,14 @@ def walk(search, rows, radii, shrink):
         if len(leaves) > MAX_LEAVES:
             raise Stop
         if shrink and len(leaves) % 3 == 0:
-            return [min(r, norm_sq) for r in radii]
+            return CountingRadii(min(v, norm_sq) for v in radii)
         return None
 
     try:
-        visits = search(rows, list(radii), on_leaf)
+        visits = search(r, CountingRadii(radii), on_leaf)
     except Stop:
         visits = None
-    return leaves, visits, rows.reads
+    return leaves, visits, tests[0]
 
 
 @st.composite
@@ -145,7 +142,7 @@ def walks(draw):
     n = len(rows)
     # a ball that reaches the shortest identity column, and up to past the
     # longest one
-    norms_sq = sorted(v * v for v in _identity_norms(rows))
+    norms_sq = sorted(v * v for v in _identity_norms(list(zip(*rows))))
     scale = draw(st.floats(0.7, 1.3))
     if draw(st.booleans()):
         radii = [scale * norms_sq[-1]] * n
@@ -160,15 +157,14 @@ def walks(draw):
 def test_walk_matches_the_walk_from_level_n_minus_1(case):
     rows, radii, shrink = case
     n = len(rows)
-    leaves, visits, reads = walk(_search, rows, radii, shrink)
-    ref_leaves, ref_visits, ref_reads = walk(parent_search, rows, radii, shrink)
+    leaves, visits, tests = walk(_search, list(zip(*rows)), radii, shrink)
+    ref_leaves, ref_visits, ref_tests = walk(parent_search, rows, radii, shrink)
     assert leaves == ref_leaves
     assert visits == ref_visits
     if visits is not None:
         assert visits == len(leaves)
-        # the n - 1 descents along c = 0 are gone, each a node read and a
-        # centre-row read
-        assert ref_reads - reads == 2 * (n - 1)
+        # the n - 1 descents along c = 0 are gone, each one node test
+        assert ref_tests - tests == n - 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -176,8 +172,8 @@ def test_walk_matches_the_walk_from_level_n_minus_1(case):
 def test_no_leaf_below_a_radius_that_is_not_positive(rows, radius):
     # the old walk fails at level n - 1, the new one at each level on its
     # way up from level 0; neither reaches a leaf
-    for search in (_search, parent_search):
-        assert search(rows, [radius] * len(rows), lambda c, norm_sq: 1 / 0) == 0
+    for search, r in ((_search, list(zip(*rows))), (parent_search, rows)):
+        assert search(r, [radius] * len(rows), lambda c, norm_sq: 1 / 0) == 0
 
 
 def test_shared_unit_columns_stay_the_identity(rng):

@@ -59,6 +59,11 @@ class BenchConfig:
             raise ConfigError(f"unknown algorithms: {unknown}")
         if "oracle" in self.algorithms and max(self.nt_list) > ORACLE_MAX_DIM:
             raise ConfigError(f"oracle allowed only for nt <= {ORACLE_MAX_DIM}")
+        # a repeat would draw or solve a cell's channels twice under one key
+        for name, values in (("nt_list", self.nt_list), ("algorithms", self.algorithms),
+                             ("p_list_db", [*map(_real, self.p_list_db)])):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} has a repeated entry")
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,12 @@ class BenchRecord:
 def _is_int(v) -> bool:
     """Whether v is an integer: a Python or numpy int (a bool is an int)."""
     return isinstance(v, (int, np.integer))
+
+
+def db_text(p_db: float) -> str:
+    """p_db as text that ``float`` reads back as p_db: the ``:g`` form
+    where it is exact (2, 0.1, 12.5), else the shortest repr."""
+    return f"{p_db:g}" if float(f"{p_db:g}") == p_db else repr(p_db)
 
 
 def db_to_linear(p_db: float) -> float:
@@ -158,17 +169,8 @@ def write_csv(records: list[BenchRecord], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for rec in records:
-            writer.writerow(
-                [
-                    rec.algorithm,
-                    rec.nt,
-                    f"{rec.p_db:g}",
-                    rec.trial,
-                    f"{rec.rate_total:.12g}",
-                    f"{rec.wall_time_s:.6e}",
-                    rec.seed_used,
-                ]
-            )
+            writer.writerow([rec.algorithm, rec.nt, db_text(rec.p_db), rec.trial,
+                             f"{rec.rate_total:.12g}", f"{rec.wall_time_s:.6e}", rec.seed_used])
 
 
 def write_json(records: list[BenchRecord], summary: list[dict], path: str) -> None:

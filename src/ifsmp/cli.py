@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from .bench import BenchConfig, run_benchmark, write_csv, write_json
+from .bench import BenchConfig, db_text, run_benchmark, write_csv, write_json
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'algorithm':<10} {'nt':>3} {'P(dB)':>6} {'trials':>6} "
           f"{'mean rate':>12} {'mean time (s)':>14} {'median time (s)':>16}")
     for row in summary:
-        print(f"{row['algorithm']:<10} {row['nt']:>3} {row['p_db']:>6g} "
+        print(f"{row['algorithm']:<10} {row['nt']:>3} {db_text(row['p_db']):>6} "
               f"{row['trials']:>6} {row['mean_rate']:>12.6f} "
               f"{row['mean_wall_time_s']:>14.6e} "
               f"{row['median_wall_time_s']:>16.6e}")

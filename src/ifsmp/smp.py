@@ -24,8 +24,10 @@ every leaf b + k e_0 of a basis column b inside that radius is walked and
 rejected, about 2 sqrt(radius^2 - ||b||^2) / r_bar_00 of them (ROADMAP
 item 3).
 `brute_force_smp`, the ground-truth oracle, collects every leaf of one
-fixed-radius search on the same `enumeration._search` engine and selects
-greedily with exact ranks; `baseline_smp` rebuilds the column-by-column
+fixed-radius search on the same `enumeration._search` engine, sorts them
+by norm and takes the pivot columns of one Bareiss elimination
+(`matrixcore._bareiss`) of the matrix whose columns they are: exactly the
+vectors a greedy pass keeps.  `baseline_smp` rebuilds the column-by-column
 approach of prior solvers.  Every solver reaches the tree walk through
 `_search`, and the benchmark runs the kernels of all three reduced solvers
 through `_pipeline`.
@@ -58,8 +60,10 @@ decides whether an input's squares fit in floats, so no kernel widens or
 retries a radius.
 
 All independence decisions are made on integer matrices with exact
-arithmetic (`int_rank` of the coefficient columns taken as rows); no
-floating-point rank tests anywhere.
+arithmetic: the two references call `_bareiss` on fresh lists of their own
+vectors, which need none of the validation `int_rank` gives outside input,
+and `_exchange` keeps adj(C) exact; no floating-point rank tests
+anywhere.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ from .errors import (
 )
 from .lll import DEFAULT_DELTA, _lll
 from .matrixcore import (
-    _int64, _real, _to_int_rows, _units, checked_columns, cholesky, int_rank,
+    _bareiss, _int64, _real, _to_int_rows, _units, checked_columns, cholesky,
 )
 from .receiver import _rate
 
@@ -402,34 +406,35 @@ def brute_force_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     collects every sign-canonical nonzero c with ||B c||^2 below
     beta_0^2 `_RADIUS_PAD`, beta_0 = max_k ||B e_k||, in one `_search`
     at a fixed radius (the pad keeps the identity columns in the ball; extra
-    candidates cannot change the result), sorts them by norm, and greedily
-    keeps each vector that is exactly independent of those already kept.
-    The in-ball vectors form a matroid, so the picks attain the successive
-    minima.  Exponential cost; guarded by ORACLE_MAX_DIM.
+    candidates cannot change the result), sorts them by norm (stably), and
+    keeps each vector that is exactly independent of those before it: the
+    pivot columns of one Bareiss elimination of the matrix whose columns
+    are the sorted vectors, which stops at the n-th pivot.  The in-ball
+    vectors form a matroid, so the picks attain the successive minima.
+    Exponential cost; guarded by ORACLE_MAX_DIM.
     """
     return _tail(checked_columns(r_bar), _brute_force)
 
 
 def _brute_force(r_cols: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
-    """`brute_force_smp` on trusted columns: the columns of c_star, and their norms."""
+    """`brute_force_smp` on trusted columns: the columns of c_star, and their norms.
+
+    Column j of a matrix is a pivot column of its echelon form exactly when
+    it is independent of columns 0..j-1, so the pivot columns of the sorted
+    leaves, taken as columns, are the greedy picks.  `_bareiss` eliminates
+    the fresh rows built here; an empty ball gives n empty rows and no
+    pivot."""
     n = len(r_cols)
     if n > ORACLE_MAX_DIM:
         raise DimensionTooLarge(f"brute force guarded at dimension {ORACLE_MAX_DIM}")
     leaves: list[tuple[float, tuple[int, ...]]] = []
     beta_sq = max(_identity_norms(r_cols)) ** 2 * _RADIUS_PAD
     _search(r_cols, [beta_sq] * n, lambda c, norm_sq: leaves.append((math.sqrt(norm_sq), tuple(c))))
-    chosen: list[tuple[int, ...]] = []
-    lambdas: list[float] = []
-    for norm, vec in sorted(leaves, key=lambda leaf: leaf[0]):
-        # columns taken as rows: a matrix and its transpose share their rank
-        if int_rank(chosen + [vec]) > len(chosen):
-            chosen.append(vec)
-            lambdas.append(norm)
-            if len(chosen) == n:
-                break
-    if len(chosen) < n:
+    leaves.sort(key=lambda leaf: leaf[0])
+    picks = _bareiss([[v[i] for _, v in leaves] for i in range(n)])[0]
+    if len(picks) < n:
         raise SearchBudgetExceeded("ball search failed to find a full basis")
-    return chosen, lambdas
+    return [leaves[j][1] for j in picks], [leaves[j][0] for j in picks]
 
 
 def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
@@ -448,14 +453,17 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
 
 
 def _baseline(r_cols: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
-    """`baseline_smp` on trusted columns: the columns of c_star, and their norms."""
+    """`baseline_smp` on trusted columns: the columns of c_star, and their norms.
+
+    A leaf is independent of the chosen columns when `_bareiss` of fresh
+    lists of them and of the leaf, taken as rows, finds one pivot more."""
     n = len(r_cols)
     chosen: list[tuple[int, ...]] = []
     lambdas: list[float] = []
 
     def on_leaf(c: list[int], norm_sq: float) -> list[float] | None:
         nonlocal best
-        if int_rank(chosen + [tuple(c)]) == len(chosen):
+        if len(_bareiss([*map(list, chosen), list(c)])[0]) == len(chosen):
             return None
         best = norm_sq, tuple(c)
         return [norm_sq] * n

@@ -72,13 +72,19 @@ class TestConfigValidation:
                dict(nt_list=(2, 1.5)), dict(nt_list=("2",)),
                # a container that is no tuple or list, or an unhashable name
                dict(nt_list=2), dict(p_list_db=10.0), dict(algorithms=None),
-               dict(algorithms=(["new"],))]
+               dict(algorithms=(["new"],)),
+               # a repeated entry, which would count a cell's channels twice
+               dict(nt_list=(2, np.int64(2))), dict(p_list_db=(10.0, np.array(10))),
+               dict(algorithms=("new", "new"))]
         for change in bad:
             config = BenchConfig(**{**base, **change})
             with pytest.raises(ConfigError):
                 config.validate()
             with pytest.raises(ConfigError):
                 run_benchmark(config)
+        for change in bad[-3:]:
+            with pytest.raises(ConfigError, match=f"{next(iter(change))} has a repeated entry"):
+                BenchConfig(**{**base, **change}).validate()
         # numpy integers and floats are numbers
         BenchConfig(nt_list=(np.int64(2),), p_list_db=(np.float64(10.0),),
                     trials=np.int64(1), seed=np.uint32(3)).validate()
@@ -239,13 +245,19 @@ class TestCli:
             assert "i/o error: disk full" in capsys.readouterr().err
 
     def test_small_run_writes_csv(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = cli_main(["--nt", "2", "--pdb", "2:2:4", "--trials", "2",
-                         "--seed", "3", "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 1 + 2 * 2 * 2  # header + algs * p-values * trials
-        assert "mean rate" in capsys.readouterr().out
+        # the p_db column reads back as the grid: in :g form where that is
+        # exact, and with every digit of a finer grid
+        for pdb, texts in (("2:2:4", ["2", "4"]),
+                           ("10.0000001,10.0000002", ["10.0000001", "10.0000002"])):
+            out = tmp_path / "bench.csv"
+            code = cli_main(["--nt", "2", "--pdb", pdb, "--trials", "2",
+                             "--seed", "3", "--out", str(out)])
+            assert code == 0
+            lines = out.read_text().strip().splitlines()
+            assert len(lines) == 1 + 2 * 2 * 2  # header + algs * p-values * trials
+            assert sorted({line.split(",")[2] for line in lines[1:]}) == texts
+            printed = capsys.readouterr().out
+            assert "mean rate" in printed and all(text in printed for text in texts)
 
     def test_json_suffix_writes_json(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -31,7 +31,7 @@ from ifsmp import (
     total_rate,
     update_basis,
 )
-from ifsmp.matrixcore import _exact_form, _quad
+from ifsmp.matrixcore import _bareiss, _exact_form, _quad
 
 
 def rational_pivot_cols(m):
@@ -241,6 +241,45 @@ class TestIntDet:
                 m[:, 0] = 0
             assert int_det(m) == round(np.linalg.det(m))
             assert (int_rank(m) == n) == (int_det(m) != 0)
+
+
+@st.composite
+def vector_lists(draw):
+    """(n, 0 to 40 integer vectors of length n = 1..6 with entries -3..3),
+    with repeats, negated copies and planted combinations of earlier
+    vectors among them."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    vectors: list[list[int]] = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "negated", "combination"])
+                    if vectors else st.just("fresh"))
+        if kind == "fresh":
+            vectors.append(draw(st.lists(entry, min_size=n, max_size=n)))
+            continue
+        earlier = draw(st.lists(st.sampled_from(vectors), min_size=1, max_size=3))
+        if kind == "repeat":
+            vectors.append(list(earlier[0]))
+        elif kind == "negated":
+            vectors.append([-v for v in earlier[0]])
+        else:
+            coeffs = draw(st.lists(entry, min_size=len(earlier), max_size=len(earlier)))
+            vectors.append([sum(c * w[i] for c, w in zip(coeffs, earlier)) for i in range(n)])
+    return n, vectors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(vector_lists())
+def test_pivot_columns_are_the_greedy_picks(case):
+    # the oracle's selection rule: the Bareiss pivot columns of the matrix
+    # whose columns are the vectors are the vectors a greedy int_rank pass
+    # keeps, taken in list order and stopping at n
+    n, vectors = case
+    picks: list[int] = []
+    for j, v in enumerate(vectors):
+        if len(picks) < n and int_rank([vectors[k] for k in picks] + [v]) > len(picks):
+            picks.append(j)
+    assert _bareiss([[v[i] for v in vectors] for i in range(n)])[0] == picks
 
 
 # finite floats of every scale: +-0, subnormals, and 1e-300 beside 1e300

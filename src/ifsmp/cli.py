@@ -11,7 +11,7 @@ import math
 import sys
 
 from .bench import BenchConfig, db_text, run_benchmark, write_csv, write_json
-from .errors import ConfigError
+from .errors import ConfigError, IfsmpError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -82,12 +82,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO
 
-    records, summary = run_benchmark(config)
+    try:
+        records, summary = run_benchmark(config)
+    except IfsmpError as exc:  # a channel the solver rejects, e.g. an indefinite G
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
-    print(f"{'algorithm':<10} {'nt':>3} {'P(dB)':>6} {'trials':>6} "
+    width = max(6, *(len(db_text(row['p_db'])) for row in summary))
+    print(f"{'algorithm':<10} {'nt':>3} {'P(dB)':>{width}} {'trials':>6} "
           f"{'mean rate':>12} {'mean time (s)':>14} {'median time (s)':>16}")
     for row in summary:
-        print(f"{row['algorithm']:<10} {row['nt']:>3} {db_text(row['p_db']):>6} "
+        print(f"{row['algorithm']:<10} {row['nt']:>3} {db_text(row['p_db']):>{width}} "
               f"{row['trials']:>6} {row['mean_rate']:>12.6f} "
               f"{row['mean_wall_time_s']:>14.6e} "
               f"{row['median_wall_time_s']:>16.6e}")

@@ -29,11 +29,11 @@ Integer matrices are handled with native Python ints internally, so every
 rank / determinant decision is exact: no tolerance, no overflow (Python
 ints are unbounded, which subsumes a 64->128 bit widening scheme).
 `_bareiss` is the library's one elimination.  `int_rank` and `int_det`
-read outside input through `_to_int_rows` first; the two references in
-`smp` call `_bareiss` directly on fresh lists of vectors they built
-themselves, as those need no check: the oracle takes the pivot columns of
-one elimination of its sorted ball, and the baseline counts the pivots of
-its chosen columns and a leaf.
+read outside input through `_to_int_rows` first; the oracle in `smp`
+calls `_bareiss` directly on fresh lists of vectors it built itself, as
+those need no check, and takes the pivot columns of one elimination of its
+sorted ball.  The solver and the baseline decide independence by the rows
+of an exact adj(C) instead (`smp._exchange`).
 `_exact_form` writes a float matrix G as Python ints M over one power of
 two d, so that a^T G a = `_quad`(M, a) / d is exact for integer a.
 """

@@ -28,9 +28,11 @@ fixed-radius search on the same `enumeration._search` engine, sorts them
 by norm and takes the pivot columns of one Bareiss elimination
 (`matrixcore._bareiss`) of the matrix whose columns they are: exactly the
 vectors a greedy pass keeps.  `baseline_smp` rebuilds the column-by-column
-approach of prior solvers.  Every solver reaches the tree walk through
-`_search`, and the benchmark runs the kernels of all three reduced solvers
-through `_pipeline`.
+approach of prior solvers: one search per column, which keeps the shortest
+leaf on which a row of adj(C) past the chosen columns is nonzero, and
+inserts it into C with one `_exchange`.  Every solver reaches the tree walk
+through `_search`, and the benchmark runs the kernels of all three reduced
+solvers through `_pipeline`.
 
 Between Cholesky and a_star the pipeline works on Python lists: R is
 read once, by one ``tolist`` of its transpose into the columns the LLL
@@ -60,10 +62,10 @@ decides whether an input's squares fit in floats, so no kernel widens or
 retries a radius.
 
 All independence decisions are made on integer matrices with exact
-arithmetic: the two references call `_bareiss` on fresh lists of their own
+arithmetic: the oracle alone calls `_bareiss`, on fresh lists of its own
 vectors, which need none of the validation `int_rank` gives outside input,
-and `_exchange` keeps adj(C) exact; no floating-point rank tests
-anywhere.
+and `_exchange` keeps the adj(C) of the solver and the baseline exact; no
+floating-point rank tests anywhere.
 """
 
 from __future__ import annotations
@@ -448,6 +450,9 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
     shrinks on every improving independent one.  That ball holds k + 1
     identity columns, so one independent of the k fixed ones: it is never
     empty on an input that passes `matrixcore.checked_columns`.
+    Independence is decided by the rows of an exact adj(C) past the fixed
+    columns, and each new column extends C by one `_exchange`, so the
+    baseline calls no `_bareiss`.
     """
     return _tail(checked_columns(r_bar), _baseline)
 
@@ -455,27 +460,31 @@ def baseline_smp(r_bar) -> tuple[np.ndarray, list[float]]:
 def _baseline(r_cols: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]]:
     """`baseline_smp` on trusted columns: the columns of c_star, and their norms.
 
-    A leaf is independent of the chosen columns when `_bareiss` of fresh
-    lists of them and of the leaf, taken as rows, finds one pivot more."""
+    The k chosen columns lead an exact basis C that starts as the identity,
+    with norm inf on the columns not yet chosen, and adj = d * C^-1.  As
+    adj C = d I, rows k.. of adj are independent and vanish on the chosen
+    columns, so a leaf is independent of them exactly when one of those
+    rows is nonzero on it: the zero test `_exchange` rejects a leaf by.
+    The minima are nondecreasing, so `_exchange` inserts the best leaf at
+    index k, and accepts it."""
     n = len(r_cols)
-    chosen: list[tuple[int, ...]] = []
-    lambdas: list[float] = []
+    units = _units(n)
+    cols, adj, norms, d = list(units), list(units), [math.inf] * n, 1
 
     def on_leaf(c: list[int], norm_sq: float) -> list[float] | None:
         nonlocal best
-        if len(_bareiss([*map(list, chosen), list(c)])[0]) == len(chosen):
+        if not any(sum(map(mul, row, c)) for row in adj[k:]):
             return None
         best = norm_sq, tuple(c)
         return [norm_sq] * n
 
-    for norm in sorted(_identity_norms(r_cols)):
+    for k, norm in enumerate(sorted(_identity_norms(r_cols))):
         best = None
         _search(r_cols, [norm ** 2 * _RADIUS_PAD] * n, on_leaf)
         if best is None:
             raise SearchBudgetExceeded("ball search failed to find an independent vector")
-        chosen.append(best[1])
-        lambdas.append(math.sqrt(best[0]))
-    return chosen, lambdas
+        d = _exchange(cols, norms, adj, d, best[1], math.sqrt(best[0]))
+    return cols, norms
 
 
 __all__ = [

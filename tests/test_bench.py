@@ -244,6 +244,14 @@ class TestCli:
             assert code == 2
             assert "i/o error: disk full" in capsys.readouterr().err
 
+    def test_solve_error_exit_code(self, capsys):
+        # at 200 dB the Gram matrix is indefinite in floats: the typed error
+        # is reported by name, with no traceback
+        code = cli_main(["--nt", "4", "--pdb", "200", "--trials", "3", "--seed", "1",
+                         "--algs", "new"])
+        assert code == 1
+        assert "error: NotPositiveDefinite" in capsys.readouterr().err
+
     def test_small_run_writes_csv(self, tmp_path, capsys):
         # the p_db column reads back as the grid: in :g form where that is
         # exact, and with every digit of a finer grid
@@ -258,6 +266,10 @@ class TestCli:
             assert sorted({line.split(",")[2] for line in lines[1:]}) == texts
             printed = capsys.readouterr().out
             assert "mean rate" in printed and all(text in printed for text in texts)
+            # the P(dB) column is as wide as its longest entry, so every row
+            # lines up with the header
+            table = printed.splitlines()
+            assert {len(line) for line in table} == {len(table[0])}
 
     def test_json_suffix_writes_json(self, tmp_path, capsys):
         out = tmp_path / "bench.json"

@@ -31,7 +31,8 @@ from ifsmp import (
     total_rate,
     update_basis,
 )
-from ifsmp.matrixcore import _bareiss, _exact_form, _quad
+from ifsmp.matrixcore import _bareiss, _exact_form, _quad, _units
+from ifsmp.smp import _exchange
 
 
 def rational_pivot_cols(m):
@@ -273,13 +274,23 @@ def vector_lists(draw):
 def test_pivot_columns_are_the_greedy_picks(case):
     # the oracle's selection rule: the Bareiss pivot columns of the matrix
     # whose columns are the vectors are the vectors a greedy int_rank pass
-    # keeps, taken in list order and stopping at n
+    # keeps, taken in list order and stopping at n.  The baseline's rule
+    # picks the same: from the identity basis, whose columns hold norm inf,
+    # a vector is picked when a row of adj past the picks is nonzero on it,
+    # and `_exchange` inserts each pick at the next index
     n, vectors = case
     picks: list[int] = []
     for j, v in enumerate(vectors):
         if len(picks) < n and int_rank([vectors[k] for k in picks] + [v]) > len(picks):
             picks.append(j)
-    assert _bareiss([[v[i] for v in vectors] for i in range(n)])[0] == picks
+    cols, adj, norms, d = list(_units(n)), list(_units(n)), [math.inf] * n, 1
+    adj_picks: list[int] = []
+    for j, v in enumerate(vectors):
+        k = len(adj_picks)
+        if any(sum(a * b for a, b in zip(row, v)) for row in adj[k:]):
+            d = _exchange(cols, norms, adj, d, v, k)
+            adj_picks.append(j)
+    assert _bareiss([[v[i] for v in vectors] for i in range(n)])[0] == picks == adj_picks
 
 
 # finite floats of every scale: +-0, subnormals, and 1e-300 beside 1e300

@@ -1,6 +1,10 @@
-"""Lattice successive-minima solvers for integer-forcing MIMO receivers."""
+"""Lattice successive-minima solvers for integer-forcing MIMO receivers.
 
-from .bench import BenchConfig, BenchRecord, db_to_linear, generate_channel, run_benchmark
+The package root exports the solvers and their helpers only.  The
+Monte-Carlo benchmark harness is imported from `ifsmp.bench` (BenchConfig,
+BenchRecord, db_to_linear, generate_channel, run_benchmark), so that
+``import ifsmp`` loads none of it."""
+
 from .enumeration import enumerate_below
 from .errors import (
     CoefficientOverflow,

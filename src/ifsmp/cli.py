@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .bench import BenchConfig, db_text, run_benchmark, write_csv, write_json
@@ -75,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    created = args.out is not None and not os.path.exists(args.out)
     if args.out is not None:
         try:  # an unwritable path fails before the first trial, not after the run
             open(args.out, "a").close()
@@ -85,6 +87,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         records, summary = run_benchmark(config)
     except IfsmpError as exc:  # a channel the solver rejects, e.g. an indefinite G
+        if created:  # leave no empty file that this run made
+            os.remove(args.out)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

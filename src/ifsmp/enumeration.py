@@ -33,10 +33,11 @@ and tests a node at level k against radii[top]: every leaf below it ends
 at c_top.  `enumerate_below`, the oracle and the baseline pass a flat list,
 which is the ordinary sphere; `smp.solve_rsmp` derives tighter radii for
 the low subspaces from its basis, so it never enters a region where every
-leaf would be rejected.  The walk trusts its columns to have come
-through one of the two ways in (`matrixcore`), which keep every square it
-compares a normal float: no radius or distance underflows to zero or
-overflows.  r_bar, z and c_star travel as columns; only the walk reads
+leaf would be rejected, and closes a run of c_0 siblings once a rejection
+shows that every later one is rejected too.  The walk trusts its columns
+to have come through one of the two ways in (`matrixcore`), which keep
+every square it compares a normal float: no radius or distance underflows
+to zero or overflows.  r_bar, z and c_star travel as columns; only the walk reads
 rows, and `_int64` builds a_star's rows.
 """
 
@@ -61,11 +62,14 @@ def _search(
     ``radii`` holds one squared radius per highest nonzero index: a vector
     whose last nonzero coordinate is h is a candidate only below radii[h].
     It must be nondecreasing; a flat list is the plain sphere search.
-    ``on_leaf(c, norm_sq)`` is called for every nonzero leaf and may return
-    a new list of squared radii (taking effect immediately).  After a leaf
-    the search keeps stepping the lowest coordinate in zig-zag order, so
-    every in-radius vector is reached even when the radii just shrank.
-    Returns the number of nonzero leaves visited.
+    ``on_leaf(c, norm_sq)`` is called for every nonzero leaf and returns
+    None, a new list of squared radii (taking effect immediately), or an
+    empty list, which closes the run of c_0 siblings: the walk leaves
+    level 0 as after a failed radius test there, so no later sibling of c
+    is visited.  After any other leaf the search keeps stepping the lowest
+    coordinate in zig-zag order, so every in-radius vector is reached even
+    when the radii just shrank.  Returns the number of nonzero leaves
+    visited.
     """
     rows = list(zip(*cols))
     n = len(rows)
@@ -98,8 +102,12 @@ def _search(
             if top >= 0:
                 visits += 1
                 new_radii = on_leaf(c, dist[0] + lhs)
-                if new_radii is not None:
+                if new_radii:
                     radii = new_radii
+                elif new_radii is not None:  # [] closes the c_0 run
+                    if n == 1:
+                        return visits
+                    k = 1
         else:
             if k == n - 1:
                 return visits

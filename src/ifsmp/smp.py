@@ -19,10 +19,12 @@ them as its radius.  A leaf beyond it would be inserted after every column
 it could replace, so it is always a rejected one, and skipping it leaves
 every output bit for bit as a flat radius gives it.  The radius is keyed
 on the prefix c_0..c_h, not on a leaf's own support, so a leaf that skips
-a coordinate still gets the whole prefix's radius: when r_bar_00 is tiny,
-every leaf b + k e_0 of a basis column b inside that radius is walked and
-rejected, about 2 sqrt(radius^2 - ||b||^2) / r_bar_00 of them (ROADMAP
-item 3).
+a coordinate still gets the whole prefix's radius.  The c_0 siblings of a
+rejected leaf past radii[0] are rejected too (their y differs only in
+adj's column 0, zero past the last column that radius belongs to), so
+the walk closes that run: a tiny r_bar_00 no longer walks about
+2 sqrt(radius^2 - ||b||^2) / r_bar_00 rejected leaves b + k e_0 of a basis
+column b.  Runs at level 1 stay open (ROADMAP item 3).
 `brute_force_smp`, the ground-truth oracle, collects every leaf of one
 fixed-radius search on the same `enumeration._search` engine, sorts them
 by norm and takes the pivot columns of one Bareiss elimination
@@ -299,7 +301,9 @@ def solve_rsmp(r_bar) -> tuple[np.ndarray, list[float]]:
     changes no accept, no accept order and no radius update, so the result
     is the one a flat radius norms[-1]^2 gives, bit for bit; on
     rank-deficient channels, where almost every leaf lies in the span of
-    shorter columns, it removes most of the walk.
+    shorter columns, it removes most of the walk.  A leaf rejected at a
+    norm past radii[0] also closes its run of c_0 siblings, which the rule
+    would all reject.
     """
     return _tail(checked_columns(r_bar), _rsmp)
 
@@ -315,16 +319,21 @@ def _rsmp(r_cols: list[list[float]]) -> tuple[list[tuple[int, ...]], list[float]
     adj = cols.copy()
     norms = sorted(col_norms)
     d = 1
+    radii = _subspace_radii(norms, adj)
 
     def on_leaf(c: list[int], norm_sq: float) -> list[float] | None:
-        nonlocal d
+        nonlocal d, radii
         new_d = _exchange(cols, norms, adj, d, c, math.sqrt(norm_sq))
         if new_d is None:
-            return None
+            # past radii[0] the insertion point lies after every column
+            # whose adj row is nonzero at index 0, so each later c_0
+            # sibling is rejected as well: close the run
+            return [] if norm_sq >= radii[0] else None
         d = new_d
-        return _subspace_radii(norms, adj)
+        radii = _subspace_radii(norms, adj)
+        return radii
 
-    _search(r_cols, _subspace_radii(norms, adj), on_leaf)
+    _search(r_cols, radii, on_leaf)
     return cols, norms
 
 

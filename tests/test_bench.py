@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifsmp import BenchConfig, ConfigError, generate_channel, run_benchmark
+from ifsmp import ConfigError
 from ifsmp import cli
+from ifsmp.bench import BenchConfig, generate_channel, run_benchmark
 from ifsmp.bench import MAX_NT, db_to_linear, write_csv, write_json
 from ifsmp.cli import main as cli_main
 
@@ -244,13 +245,19 @@ class TestCli:
             assert code == 2
             assert "i/o error: disk full" in capsys.readouterr().err
 
-    def test_solve_error_exit_code(self, capsys):
+    def test_solve_error_exit_code(self, tmp_path, capsys):
         # at 200 dB the Gram matrix is indefinite in floats: the typed error
-        # is reported by name, with no traceback
-        code = cli_main(["--nt", "4", "--pdb", "200", "--trials", "3", "--seed", "1",
-                         "--algs", "new"])
-        assert code == 1
-        assert "error: NotPositiveDefinite" in capsys.readouterr().err
+        # is reported by name, with no traceback.  An --out path the run
+        # created is removed again, and one that was there keeps its bytes
+        argv = ["--nt", "4", "--pdb", "200", "--trials", "3", "--seed", "1", "--algs", "new"]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_bytes(b"kept\n")
+        for out in (None, new, old):
+            code = cli_main(argv if out is None else [*argv, "--out", str(out)])
+            assert code == 1
+            assert "error: NotPositiveDefinite" in capsys.readouterr().err
+        assert not new.exists()
+        assert old.read_bytes() == b"kept\n"
 
     def test_small_run_writes_csv(self, tmp_path, capsys):
         # the p_db column reads back as the grid: in :g form where that is

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf
 
 from ifsmp import (
-    BenchConfig,
     Candidate,
     ConfigError,
     InvalidPower,
@@ -26,11 +25,11 @@ from ifsmp import (
     int_rank,
     lll_reduce,
     rate_m,
-    run_benchmark,
     solve_rsmp,
     total_rate,
     update_basis,
 )
+from ifsmp.bench import BenchConfig, run_benchmark
 from ifsmp.matrixcore import _bareiss, _exact_form, _quad, _units
 from ifsmp.smp import _exchange
 

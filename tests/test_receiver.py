@@ -115,7 +115,10 @@ class TestGramMatrix:
         # the library needs no scipy: with scipy blocked, import ifsmp and a
         # solve run warning-free and load no scipy module and, on Linux, map
         # no scipy library; G's bytes do not depend on whether scipy.linalg
-        # (and its own OpenBLAS) was loaded first
+        # (and its own OpenBLAS) was loaded first.  A solve loads no part of
+        # the benchmark harness either: not ifsmp.bench, nor (where
+        # scipy.linalg has not loaded it) the csv module the harness writes
+        # with
         rng = np.random.default_rng(3)
         hs = [rng.standard_normal((nr, 3)) for nr in (2, 3, 5)]
         script = f"""
@@ -129,7 +132,9 @@ from ifsmp import gram_matrix, solve_smp
 rng = np.random.default_rng(3)
 gs = [gram_matrix(rng.standard_normal((nr, 3)), 10.0) for nr in (2, 3, 5)]
 solve_smp(gs[0])
+assert "ifsmp.bench" not in sys.modules
 if not {linalg_first}:
+    assert "csv" not in sys.modules
     assert [m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m]] == []
     if sys.platform.startswith("linux"):
         with open("/proc/self/maps") as maps:

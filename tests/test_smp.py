@@ -788,6 +788,82 @@ class TestSubspaceRadii:
                     assert int_det(sol.a_star) != 0
 
 
+def open_run_rsmp(r_cols):
+    """The kernel of `solve_rsmp` with no closed runs: the same subspace
+    radii, but a rejected leaf never closes its run of c_0 siblings."""
+    n = len(r_cols)
+    col_norms = _identity_norms(r_cols)
+    order = sorted(range(n), key=lambda k: col_norms[k])
+    cols = [tuple(int(r == k) for r in range(n)) for k in order]
+    norms = [col_norms[k] for k in order]
+    adj = [list(col) for col in cols]
+    scale = [1]
+
+    def on_leaf(c, norm_sq):
+        new_d = _exchange(cols, norms, adj, scale[0], c, math.sqrt(norm_sq))
+        if new_d is None:
+            return None
+        scale[0] = new_d
+        return _subspace_radii(norms, adj)
+
+    _search(r_cols, _subspace_radii(norms, adj), on_leaf)
+    return cols, norms
+
+
+def one_tiny_diagonal(seed, n, t):
+    """G = R^T R for R = I plus a strict upper triangle from
+    default_rng(seed), whose last column is zero above the diagonal entry t:
+    LLL puts t at r_bar_00, and every leaf b + k e_0 of a basis column b
+    inside the radius rho is a rejected one, about
+    2 sqrt(rho^2 - ||b||^2) / t of them per run."""
+    r = np.eye(n) + np.triu(np.random.default_rng(seed).standard_normal((n, n)), 1)
+    r[:-1, -1] = 0.0
+    r[-1, -1] = t
+    return r.T @ r
+
+
+class TestClosedRuns:
+    def test_matches_open_runs(self):
+        # a rejection past radii[0] closes the run of c_0 siblings, and only
+        # leaves the rule rejects are skipped: A* and lambdas stay bit for
+        # bit those of the walk that visits every sibling
+        rng = np.random.default_rng(23)
+        grams = []
+        for _ in range(3):
+            for nt in range(2, 9):
+                for p_db in (0.0, 10.0, 20.0, 30.0, 40.0, 60.0):
+                    near = rng.standard_normal((nt, nt))
+                    near[:, 1] = near[:, 0] + 1e-4 * rng.standard_normal(nt)
+                    grams += [gram_matrix(h, 10.0 ** (p_db / 10.0))
+                              for h in (rng.standard_normal((nt, nt)),
+                                        duplicated_column(rng, nt), near)]
+        # the family whose runs the rule ends, at a t the open walk finishes
+        grams += [one_tiny_diagonal(seed, n, t)
+                  for seed in range(3) for n in (3, 4, 6) for t in (1e-2, 1e-3)]
+        assert len(grams) >= 300
+        for g in grams:
+            sol = solve_smp(g)
+            a_star, lambdas = _pipeline(g, open_run_rsmp)
+            assert (a_star.dtype, a_star.shape) == (sol.a_star.dtype, sol.a_star.shape)
+            assert a_star.tobytes() == sol.a_star.tobytes()
+            assert [x.hex() for x in lambdas] == [x.hex() for x in sol.lambdas]
+
+    @pytest.mark.parametrize("t", [1e-7, 1e-10, 1e-14])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_tiny_diagonal_family(self, seed, n, t):
+        # with open runs n = 6 at t = 1e-14 and n = 8 at t = 1e-12 each ran
+        # for more than 3 s; with closed runs every case takes under 1 ms
+        g = one_tiny_diagonal(seed, n, t)
+        with time_limit(1.0):
+            sol = solve_smp(g)
+        lambdas = list(sol.lambdas)
+        assert int_det(sol.a_star) != 0
+        assert lambdas == sorted(lambdas)
+        norms = np.linalg.norm(cholesky(g) @ sol.a_star.astype(float), axis=0)
+        np.testing.assert_allclose(norms, lambdas, rtol=1e-9, atol=0.0)
+
+
 def test_int64_overflow_is_typed():
     with pytest.raises(CoefficientOverflow):
         _int_matmul([[2**40]], [[2**40]])

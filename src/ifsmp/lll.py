@@ -40,7 +40,7 @@ def _sweep_cap(n: int) -> int:
     return max(1000, 640 * n * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LllResult:
     """Reduced factor r_bar and the unimodular transform z.
 
@@ -48,7 +48,10 @@ class LllResult:
     factor.  In floats, ``norm(r_bar[:, k])`` agrees with ``norm(r @ z[:, k])``
     within about 1.7e-14 relative on R from ``cholesky(gram_matrix(H, P))``;
     on skewed triangular inputs (diagonal spread 1e4 and more) it can drift
-    far from it (ROADMAP item 5).
+    far from it (ROADMAP item 5).  ``==`` is identity and ``hash`` the
+    object's own (``eq=False``), as a generated ``__eq__`` would compare the
+    arrays and raise; compare two results with ``np.array_equal`` on each
+    field.
     """
 
     r_bar: np.ndarray

@@ -115,7 +115,7 @@ class WorkingBasis:
         return _int64(self.cols).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmpSolution:
     """A solve's answer: a_star and the successive minima it attains.
 
@@ -125,7 +125,11 @@ class SmpSolution:
     rebuilt class's frozen ``__setattr__`` raises TypeError, not
     FrozenInstanceError, for a name that is no field, such as the two
     properties (Python 3.11).  ``__reduce__`` rebuilds an instance through
-    ``__init__``, as pickle and copy cannot set the slots of a frozen one."""
+    ``__init__``, as pickle and copy cannot set the slots of a frozen one.
+    ``==`` is identity and ``hash`` the object's own (``eq=False``): a
+    generated ``__eq__`` would compare a_star arrays and raise.  Compare two
+    solutions by their fields: ``np.array_equal(a.a_star, b.a_star) and
+    a.lambdas == b.lambdas``."""
 
     __slots__ = ("a_star", "lambdas")
     a_star: np.ndarray

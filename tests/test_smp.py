@@ -510,6 +510,18 @@ class TestSolveSmp:
         with pytest.raises(dataclasses.FrozenInstanceError):
             sol.lambdas = (0.0, 0.0)
 
+    def test_records_compare_by_identity_and_hash(self, rng):
+        # SmpSolution and LllResult hold arrays, so a generated __eq__
+        # raises at n >= 2 and a generated __hash__ is None: with eq=False,
+        # == is identity and an equal-valued twin is another set member
+        for n in (2, 4):
+            g = random_gram(rng, n)
+            for solve, arg in ((solve_smp, g), (lll_reduce, cholesky(g))):
+                rec = solve(arg)
+                for twin in (solve(arg), copy.copy(rec)):
+                    assert rec == rec and rec != twin and not rec == twin
+                    assert len({rec, twin}) == 2
+
     def test_objective_and_rate_derive_from_lambdas(self, rng):
         # the expressions solve_smp once stored, bit for bit, on every
         # access; read-only, and following a replaced lambda

@@ -6,6 +6,8 @@ solve pipeline of `solve_smp`; algorithms differ only in the reduced solver
 `REDUCED_SOLVERS` maps them to.  Wall time is measured around the solve
 only.  Per-trial RNGs are derived from the config seed plus the
 (nt, p, trial) indices, so results do not depend on execution order.
+A `BenchConfig` is checked when it is built, so `run_benchmark` runs any
+config it is given without checking it again.
 """
 
 from __future__ import annotations
@@ -31,13 +33,26 @@ MAX_NT = 32  # no search budget bounds a solve yet, so cap its size
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """One benchmark run: the (nt, p_db) grid, trials per cell, the master
+    seed and the algorithms to time.
+
+    The constructor, ``dataclasses.replace`` included, raises ConfigError
+    unless trials >= 1 and seed >= 0 are integers (Python or numpy), the
+    three lists are nonempty tuples or lists with no repeated entry, every
+    nt is an integer from 1 to MAX_NT, every p_db a real scalar whose
+    linear power passes gram_matrix's rule, and every algorithm a key of
+    REDUCED_SOLVERS ("oracle" only up to ORACLE_MAX_DIM).  It stores the
+    three lists as tuples of Python ints, floats and strs, so every config
+    hashes, one built from lists equals its tuple-built twin, and the
+    records of a run hold values json writes."""
+
     nt_list: tuple[int, ...]
     p_list_db: tuple[float, ...]
     trials: int = 2000
     seed: int = 0
     algorithms: tuple[str, ...] = ("new", "baseline")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials must be >= 1 and an integer, got {self.trials!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -59,9 +74,11 @@ class BenchConfig:
             raise ConfigError(f"unknown algorithms: {unknown}")
         if "oracle" in self.algorithms and max(self.nt_list) > ORACLE_MAX_DIM:
             raise ConfigError(f"oracle allowed only for nt <= {ORACLE_MAX_DIM}")
-        # a repeat would draw or solve a cell's channels twice under one key
-        for name, values in (("nt_list", self.nt_list), ("algorithms", self.algorithms),
-                             ("p_list_db", [*map(_real, self.p_list_db)])):
+        # Python ints, floats and strs, so every config hashes and json writes
+        # its records; a repeat would draw or solve a cell's channels twice
+        for name, read in (("nt_list", int), ("algorithms", str), ("p_list_db", _real)):
+            values = tuple(map(read, getattr(self, name)))
+            object.__setattr__(self, name, values)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} has a repeated entry")
 
@@ -98,23 +115,17 @@ def generate_channel(nt: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((nt, nt))
 
 
-def _trial_seed_sequence(seed: int, nt: int, p_idx: int, trial: int):
-    return np.random.SeedSequence([seed, nt, p_idx, trial])
-
-
 def run_benchmark(config: BenchConfig) -> tuple[list[BenchRecord], list[dict]]:
     """Run all configured (nt, p, trial) cells; returns records and summary.
 
     The summary holds mean rate and mean wall time per (algorithm, nt, p).
     """
-    config.validate()
     records: list[BenchRecord] = []
-    trials, seed = int(config.trials), int(config.seed)  # Python ints, which json writes
-    for nt in map(int, config.nt_list):
-        for p_idx, p_db in enumerate(map(_real, config.p_list_db)):
+    for nt in config.nt_list:
+        for p_idx, p_db in enumerate(config.p_list_db):
             p = db_to_linear(p_db)
-            for trial in range(trials):
-                ss = _trial_seed_sequence(seed, nt, p_idx, trial)
+            for trial in range(config.trials):
+                ss = np.random.SeedSequence([config.seed, nt, p_idx, trial])
                 seed_used = int(ss.generate_state(1)[0])
                 rng = np.random.default_rng(ss)
                 h = generate_channel(nt, rng)

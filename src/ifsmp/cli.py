@@ -72,7 +72,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             algorithms=tuple(args.algs.split(",")),
         )
-        config.validate()
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

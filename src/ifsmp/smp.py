@@ -111,8 +111,9 @@ class WorkingBasis:
     norms: tuple[float, ...]
 
     def matrix(self) -> np.ndarray:
-        """Columns assembled into an integer matrix."""
-        return _int64(self.cols).T
+        """Columns assembled into a C-contiguous integer matrix, the layout
+        of a_star and lll_reduce's z."""
+        return _int64(list(zip(*self.cols)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,34 +35,33 @@ class TestGenerateChannel:
 class TestConfigValidation:
     def test_bad_trials(self):
         with pytest.raises(ConfigError):
-            BenchConfig(nt_list=(2,), p_list_db=(2.0,), trials=0).validate()
+            BenchConfig(nt_list=(2,), p_list_db=(2.0,), trials=0)
+        # replace builds a new config, so it is checked too
+        with pytest.raises(ConfigError):
+            replace(BenchConfig(nt_list=(2,), p_list_db=(2.0,)), trials=0)
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError):
-            BenchConfig(nt_list=(2,), p_list_db=(2.0,), algorithms=("magic",)).validate()
+            BenchConfig(nt_list=(2,), p_list_db=(2.0,), algorithms=("magic",))
 
     def test_oracle_dimension_guard(self):
         with pytest.raises(ConfigError):
-            BenchConfig(nt_list=(10,), p_list_db=(2.0,),
-                        algorithms=("oracle",)).validate()
+            BenchConfig(nt_list=(10,), p_list_db=(2.0,), algorithms=("oracle",))
 
     def test_nt_cap(self):
-        BenchConfig(nt_list=(2, MAX_NT), p_list_db=(2.0,)).validate()
+        BenchConfig(nt_list=(2, MAX_NT), p_list_db=(2.0,))
         with pytest.raises(ConfigError, match=f"from 1 to {MAX_NT}"):
-            BenchConfig(nt_list=(2, MAX_NT + 1), p_list_db=(2.0,)).validate()
+            BenchConfig(nt_list=(2, MAX_NT + 1), p_list_db=(2.0,))
 
     def test_invalid_power_rejected(self):
         # P = 10^(dB/10) must pass gram_matrix's power rule: NaN, inf, 0
         # (-4000 dB underflows) and an overflow of the conversion (1e6 dB)
         for p_db in (np.nan, np.inf, -np.inf, -4000.0, 1e6):
-            config = BenchConfig(nt_list=(2,), p_list_db=(10.0, p_db), trials=1)
             with pytest.raises(ConfigError):
-                config.validate()
-            with pytest.raises(ConfigError):
-                run_benchmark(config)
+                BenchConfig(nt_list=(2,), p_list_db=(10.0, p_db), trials=1)
         # and a grid needs one power at least
         with pytest.raises(ConfigError, match="p_list_db must not be empty"):
-            BenchConfig(nt_list=(2,), p_list_db=()).validate()
+            BenchConfig(nt_list=(2,), p_list_db=())
 
     def test_non_integer_counts_rejected(self):
         # each would fail inside run_benchmark with a bare TypeError; a
@@ -78,25 +77,32 @@ class TestConfigValidation:
                dict(nt_list=(2, np.int64(2))), dict(p_list_db=(10.0, np.array(10))),
                dict(algorithms=("new", "new"))]
         for change in bad:
-            config = BenchConfig(**{**base, **change})
             with pytest.raises(ConfigError):
-                config.validate()
-            with pytest.raises(ConfigError):
-                run_benchmark(config)
+                BenchConfig(**{**base, **change})
         for change in bad[-3:]:
             with pytest.raises(ConfigError, match=f"{next(iter(change))} has a repeated entry"):
-                BenchConfig(**{**base, **change}).validate()
-        # numpy integers and floats are numbers
-        BenchConfig(nt_list=(np.int64(2),), p_list_db=(np.float64(10.0),),
-                    trials=np.int64(1), seed=np.uint32(3)).validate()
+                BenchConfig(**{**base, **change})
+
+        # numpy integers and floats are numbers, and lists, numpy scalars and
+        # a 0-d array are stored as the Python values of the tuple-built
+        # twin: the config hashes, equals the twin and runs its records
+        def records(config):
+            return [replace(r, wall_time_s=0.0) for r in run_benchmark(config)[0]]
+
+        twin = BenchConfig(nt_list=(2,), p_list_db=(10.0,), trials=1, seed=3)
+        for config in (BenchConfig(nt_list=[2], p_list_db=[10.0], trials=1, seed=3,
+                                   algorithms=["new", "baseline"]),
+                       BenchConfig(nt_list=(np.int64(2),), p_list_db=(np.float64(10.0),),
+                                   trials=np.int64(1), seed=np.uint32(3)),
+                       BenchConfig(nt_list=(2,), p_list_db=(np.array(10),), trials=1, seed=3)):
+            assert hash(config) == hash(twin)
+            assert config == twin
+            assert records(config) == records(twin)
 
     def test_negative_seed(self):
         # np.random.SeedSequence would reject it mid-run with a bare ValueError
-        config = BenchConfig(nt_list=(2,), p_list_db=(10.0,), trials=1, seed=-1)
         with pytest.raises(ConfigError):
-            config.validate()
-        with pytest.raises(ConfigError):
-            run_benchmark(config)
+            BenchConfig(nt_list=(2,), p_list_db=(10.0,), trials=1, seed=-1)
 
     def test_db_conversion(self):
         assert db_to_linear(10.0) == pytest.approx(10.0)
@@ -158,7 +164,7 @@ class TestOutput:
         assert payload["summary"][0]["trials"] == 1
 
     def test_numpy_int_config_writes_python_ints(self, tmp_path):
-        # validate accepts numpy integers for nt_list, trials and seed; the
+        # a config accepts numpy integers for nt_list, trials and seed; the
         # records must hold Python ints, or json cannot write them
         def written(nt, trials, seed):
             config = BenchConfig(nt_list=(nt,), p_list_db=(2.0,), trials=trials, seed=seed,

@@ -15,6 +15,7 @@ from ifsmp import (
     CoefficientOverflow,
     DimensionTooLarge,
     IfsmpError,
+    NotPositiveDefinite,
     PreconditionViolated,
     SearchBudgetExceeded,
     SingularCoefficientMatrix,
@@ -160,6 +161,22 @@ def basis_and_refound_column(draw):
     return cols, norms, adj, d, cand, draw(st.sampled_from(pool))
 
 
+@st.composite
+def channels(draw):
+    """(H, P): an n_r x n_t channel, n_r and n_t from 1 to 6, drawn from
+    default_rng(seed) as Gaussian, with column 1 a copy of column 0 (rank
+    deficient) or column 0 + 1e-4 N(0, 1) (near rank), at -30 to 100 dB."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_r, n_t = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["gaussian", "copy", "near"]))
+    p_db = draw(st.floats(-30.0, 100.0))
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n_r, n_t))
+    if kind != "gaussian" and n_t > 1:
+        h[:, 1] = h[:, 0] + (1e-4 * rng.standard_normal(n_r) if kind == "near" else 0.0)
+    return h, 10.0 ** (p_db / 10.0)
+
+
 def flat_radius_rsmp(r_cols):
     """The kernel of `solve_rsmp` with one flat radius: `_search` at
     [norms[-1]^2] * n, reset on every accept, plus the `_exchange` rule."""
@@ -303,6 +320,7 @@ class TestUpdateBasis:
                 continue
             out = update_basis(basis, Candidate(coeffs=cand, norm=norm))
             assert int_det(out.matrix()) != 0
+            assert out.matrix().flags.c_contiguous
             assert list(out.norms) == sorted(out.norms)
             assert all(a <= b + 1e-12 for a, b in zip(out.norms, basis.norms))
 
@@ -711,6 +729,29 @@ class TestSolveSmp:
         base = solve_smp(g).objective
         for alpha in (0.5, 2.0, 7.0):
             assert solve_smp(alpha * g).objective == pytest.approx(alpha * base, rel=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(channels())
+    def test_end_to_end_properties(self, channel):
+        # H to A*: an invertible A*, sorted lambdas attained by its columns,
+        # and bit-exact scaling, solve(4^k G) giving A* and lambda * 2^k.  A
+        # computed G may be indefinite at high P (ROADMAP item 9): that
+        # NotPositiveDefinite is the one raise allowed
+        h, p = channel
+        try:
+            with time_limit(5.0):
+                g = gram_matrix(h, p)
+                sol = solve_smp(g)
+                scaled = {k: solve_smp(4.0**k * g) for k in (-20, 1, 20)}
+        except NotPositiveDefinite:
+            return
+        assert int_det(sol.a_star) != 0
+        assert list(sol.lambdas) == sorted(sol.lambdas)
+        np.testing.assert_allclose(np.linalg.norm(cholesky(g) @ sol.a_star, axis=0),
+                                   sol.lambdas, rtol=1e-9)
+        for k, other in scaled.items():
+            assert other.a_star.tobytes() == sol.a_star.tobytes()
+            assert [x.hex() for x in other.lambdas] == [(x * 2.0**k).hex() for x in sol.lambdas]
 
     def test_staged_path_bit_identical(self, rng):
         # inputs the benchmark never draws: Gaussian nt 5-8, n_r != n_t,
